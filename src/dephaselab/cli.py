@@ -7,10 +7,12 @@ numerical check fails:
 
     exit 0  - ran and all internal checks passed
     exit 1  - a verification inequality failed
-    exit 2  - usage or configuration error
+    exit 2  - usage or configuration error, a violated precondition, or a
+              joint space above the dimension cap (one line on stderr)
 
 A JSON config file mirroring the flags may be passed via ``--config``;
-explicit flags win over config values and unknown keys are rejected.
+its values are parsed by the flags' own types, explicit flags win over
+config values and unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import dephaser, expander, pqc, recurrence, reporting
-from .qcore import partial_trace, tensor, trace_norm
+from .qcore import (DimensionError, PreconditionError, ResourceLimitError,
+                    partial_trace, tensor, trace_norm)  # noqa: F401 (perfbench/tests)
 from .sampling import random_density_matrix, spawn_rngs
 from .tolerances import TOL, Tolerances
 
@@ -35,6 +38,12 @@ class CheckFailure(Exception):
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
+
+
+def _error_bits(text: str) -> tuple[int, ...]:
+    if len(text) != 4 or set(text) - {"0", "1"}:
+        raise argparse.ArgumentTypeError("error must be four bits, e.g. 0100")
+    return tuple(int(b) for b in text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("pqc", help="private-channel transcript")
-    p.add_argument("--error", type=str, default=None,
+    p.add_argument("--error", type=_error_bits, default=None,
                    help="four bits abcd; omit for a clean transmission")
     p.add_argument("--rounds", type=int, default=8)
     common(p)
@@ -116,16 +125,24 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config: {exc}")
-    known = set(vars(args))
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        parser.error("config must be a JSON object")
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    unknown = set(data) - set(flags)
     if unknown:
         parser.error(f"unknown config fields: {sorted(unknown)}")
-    # flags given explicitly on the command line win over the config file
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    defaults = {}
     for key, val in data.items():
-        if key not in given:
-            setattr(args, key, val)
-    return args
+        if flags[key].nargs == 0:
+            if not isinstance(val, bool):
+                parser.error(f"config field {key!r} must be true or false")
+            defaults[key] = val
+        else:
+            # argparse parses string defaults with the flag's own type
+            defaults[key] = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _outpath(args, default_name: str) -> Path:
@@ -142,14 +159,15 @@ def _tol(args) -> Tolerances:
 
 def cmd_dephase(args, tol: Tolerances) -> None:
     d = args.d
-    channel = dephaser.build_dephasing_unitary(d, tol=tol)
-    u, m = channel.dilation
+    ops = dephaser.dephasing_ops(d)
+    m = dephaser.ancilla_dim(d)
+    eye_m = np.eye(m, dtype=complex) / m
     rows = []
     for trial, rng in enumerate(spawn_rngs(args.seed, args.trials)):
         rho = random_density_matrix(d, rng)
-        joint = u @ tensor(rho, np.eye(m) / m) @ u.conj().T
-        sys_res = trace_norm(partial_trace(joint, (d, m), [0]) - dephaser.pinch(rho))
-        anc_res = trace_norm(partial_trace(joint, (d, m), [1]) - np.eye(m) / m)
+        system, ancilla = dephaser.couple(rho, eye_m, None, ops)
+        sys_res = trace_norm(system - dephaser.pinch(rho))
+        anc_res = trace_norm(ancilla - eye_m)
         rows.append(f"{d},{trial},{sys_res:.16e},{anc_res:.16e}")
         if sys_res > tol.dephasing_residual or anc_res > tol.catalyst_residual:
             raise CheckFailure(f"residual above tolerance at trial {trial}")
@@ -278,12 +296,7 @@ def cmd_fig3(args, tol: Tolerances) -> None:
 def cmd_pqc(args, tol: Tolerances) -> None:
     rng = spawn_rngs(args.seed, 1)[0]
     rho = random_density_matrix(4, rng)
-    err = None
-    if args.error is not None:
-        bits = [int(b) for b in args.error]
-        if len(bits) != 4 or any(b not in (0, 1) for b in bits):
-            raise CheckFailure("error must be four bits, e.g. 0100")
-        err = pqc.PauliError(*bits)
+    err = None if args.error is None else pqc.PauliError(*args.error)
     transcript = pqc.run_transcript(rho, err, auth_rounds=args.rounds,
                                     seed=args.seed, tol=tol)
     if transcript["ciphertext_marginal_distance"] > tol.pqc_security:
@@ -362,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except (PreconditionError, DimensionError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -16,6 +16,10 @@ Feeding the same coupling with an arbitrary ancilla state sigma gives a
 "universal dephasing machine": a channel that keeps the diagonal fixed,
 contracts toward the pinched state at rate ||sigma - I/m||_1, and never
 decreases entropy.
+
+``couple`` evaluates both marginals of the coupling from a Gram matrix of the
+ancilla family; ``controlled_basis_unitary`` builds the dense joint unitary,
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -29,14 +33,15 @@ from . import weylops
 from .qcore import (
     DimensionError,
     PreconditionError,
-    ResourceLimitError,
     as_operator,
     check_density_matrix,
     check_orthonormal_basis,
+    embed_operator,
     hermitize,
     majorizes_spectra,
     mutual_information,
     partial_trace,
+    require_dim,
     schur_horn_unitary,
     tensor,
     trace_norm,
@@ -117,22 +122,46 @@ class NoisyChannel:
         return hermitize(out / len(self.mixture))
 
 
-def apply_channel(channel: NoisyChannel, rho: np.ndarray) -> np.ndarray:
-    return channel.apply(rho)
-
-
 def controlled_basis_unitary(basis_vectors: np.ndarray,
-                             ancilla_ops: list[np.ndarray]) -> np.ndarray:
+                             ancilla_ops: list[np.ndarray],
+                             tol: Tolerances = TOL) -> np.ndarray:
     """sum_i |a_i><a_i| (x) V_i for basis columns a_i and unitaries V_i."""
     d = basis_vectors.shape[0]
     if len(ancilla_ops) != d:
         raise DimensionError("need one ancilla unitary per basis vector")
     m = ancilla_ops[0].shape[0]
+    require_dim(d * m, tol)
     u = np.zeros((d * m, d * m), dtype=complex)
     for i in range(d):
         proj = np.outer(basis_vectors[:, i], basis_vectors[:, i].conj())
-        u += tensor(proj, ancilla_ops[i])
+        u += np.kron(proj, ancilla_ops[i])
     return u
+
+
+def dephasing_ops(d: int) -> list[np.ndarray]:
+    """The first d Weyl operators on an ancilla of dimension ceil(sqrt(d))."""
+    if d < 2:
+        raise PreconditionError("dephasing needs system dimension >= 2")
+    return list(weylops.weyl_basis(ancilla_dim(d)).ops[:d])
+
+
+def couple(rho: np.ndarray, sigma: np.ndarray, basis: np.ndarray | None,
+           ops: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(system, ancilla) marginals of V (rho (x) sigma) V† for
+    V = sum_i |a_i><a_i| (x) U_i (basis columns a_i, ``None`` = computational).
+
+    The system marginal is rho_a * G entrywise, rho_a being rho in the basis
+    a and G_ij = tr(U_i sigma U_j†); the ancilla marginal is
+    sum_i <a_i|rho|a_i> U_i sigma U_i†.  V itself is never formed.
+    """
+    rho_a = rho if basis is None else basis.conj().T @ rho @ basis
+    system = rho_a * weylops.operator_gram(ops, sigma)
+    if basis is not None:
+        system = basis @ system @ basis.conj().T
+    stack = np.asarray(ops, dtype=complex)
+    conjugated = stack @ sigma @ stack.conj().transpose(0, 2, 1)
+    ancilla = np.einsum("i,ixz->xz", np.diagonal(rho_a).real, conjugated)
+    return hermitize(system), hermitize(ancilla)
 
 
 def build_dephasing_unitary(d: int, basis: np.ndarray | None = None,
@@ -144,20 +173,16 @@ def build_dephasing_unitary(d: int, basis: np.ndarray | None = None,
     ``ceil(sqrt(d))``; any user-supplied trace-orthonormal family of d
     unitaries may be passed instead through ``ancilla_ops``.
     """
-    if d < 2:
-        raise PreconditionError("dephasing needs system dimension >= 2")
-    b = computational_or(basis, d)
     if ancilla_ops is None:
-        m = ancilla_dim(d)
-        ancilla_ops = list(weylops.weyl_basis(m).ops[:d])
-    else:
-        m = ancilla_ops[0].shape[0]
-        stack = np.stack([op.ravel() for op in ancilla_ops])
-        gram = (stack @ stack.conj().T) / m
-        if np.max(np.abs(gram - np.eye(len(ancilla_ops)))) > tol.basis_gram:
-            raise PreconditionError("ancilla unitaries must be trace-orthonormal")
-    u = controlled_basis_unitary(b, ancilla_ops)
-    return NoisyChannel(kind="quantum-dilation", dim=d, dilation=(u, m))
+        require_dim(d * ancilla_dim(d), tol)    # before the Weyl family is built
+        ancilla_ops = dephasing_ops(d)
+    elif d < 2:
+        raise PreconditionError("dephasing needs system dimension >= 2")
+    elif np.max(np.abs(weylops.operator_gram(ancilla_ops)
+                       - np.eye(len(ancilla_ops)))) > tol.basis_gram:
+        raise PreconditionError("ancilla unitaries must be trace-orthonormal")
+    u = controlled_basis_unitary(computational_or(basis, d), ancilla_ops, tol)
+    return NoisyChannel(kind="quantum-dilation", dim=d, dilation=(u, ancilla_ops[0].shape[0]))
 
 
 def classical_dephasing_channel(d: int) -> NoisyChannel:
@@ -220,15 +245,16 @@ def transition_channel(rho: np.ndarray, rho_prime: np.ndarray,
         raise DimensionError("states must share one dimension")
     if mode not in ("quantum", "classical"):
         raise ValueError(f"unknown mode {mode!r}")
+    d = rho.shape[0]
+    # built first, so the dimension cap is checked before the Schur-Horn step
+    channel = (build_dephasing_unitary(d, tol=tol) if mode == "quantum"
+               else classical_dephasing_channel(d))
     lam, w = _eigh_descending(rho)
     mu, w_prime = _eigh_descending(rho_prime)
     if not majorizes_spectra(lam, mu, tol):
         raise PreconditionError("transition requires the source to majorize the target")
-    d = rho.shape[0]
     v = schur_horn_unitary(lam, mu, tol)
     pre = v @ w.conj().T          # rotate to eigenbasis, then spread the target diagonal
-    channel = (build_dephasing_unitary(d, tol=tol) if mode == "quantum"
-               else classical_dephasing_channel(d))
     post = w_prime                # diagonal -> eigenbasis of the target
     return TransitionPlan(pre_unitary=pre, channel=channel, post_unitary=post)
 
@@ -265,9 +291,7 @@ def catalytic_chain(states: list[np.ndarray],
     if len(bases) != len(states):
         raise DimensionError("one basis per system required")
     m = ancilla_dim(max(dims))
-    joint_dim = math.prod(dims) * m
-    if joint_dim > tol.dim_cap:
-        raise ResourceLimitError(f"chain dimension {joint_dim} exceeds cap {tol.dim_cap}")
+    require_dim(math.prod(dims) * m, tol)
 
     weyl_ops = weylops.weyl_basis(m).ops
     joint = tensor(*states, np.eye(m, dtype=complex) / m)
@@ -275,8 +299,8 @@ def catalytic_chain(states: list[np.ndarray],
     n = len(states)
     for i, (d_i, basis) in enumerate(zip(dims, bases)):
         b = computational_or(basis, d_i)
-        u_i = controlled_basis_unitary(b, list(weyl_ops[:d_i]))
-        full = _embed_pair(u_i, layout, i, n)
+        u_i = controlled_basis_unitary(b, list(weyl_ops[:d_i]), tol)
+        full = embed_operator(u_i, layout, [i, n])
         joint = full @ joint @ full.conj().T
     joint = hermitize(joint)
 
@@ -291,25 +315,6 @@ def catalytic_chain(states: list[np.ndarray],
         for j in range(i + 1, n):
             mi[i, j] = mi[j, i] = mutual_information(joint, layout, i, j, tol)
     return joint, ChainReport(tuple(residuals), cat_res, mi)
-
-
-def _embed_pair(u: np.ndarray, layout: tuple[int, ...], sys_idx: int,
-                ancilla_idx: int) -> np.ndarray:
-    """Embed a unitary on (factor sys_idx, factor ancilla_idx) into the joint
-    space, identity elsewhere."""
-    n = len(layout)
-    rest = [k for k in range(n) if k not in (sys_idx, ancilla_idx)]
-    rest_dim = math.prod(layout[k] for k in rest) if rest else 1
-    big = np.kron(u, np.eye(rest_dim, dtype=complex))
-    # big acts on factor ordering (sys, ancilla, rest...); permute the tensor
-    # axes back into layout order.
-    src_order = [sys_idx, ancilla_idx] + rest
-    perm = list(np.argsort(src_order))
-    dims_src = [layout[k] for k in src_order]
-    tens = big.reshape(dims_src + dims_src)
-    tens = np.transpose(tens, perm + [p + n for p in perm])
-    full_dim = math.prod(layout)
-    return tens.reshape(full_dim, full_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +333,7 @@ def machine_step(rho: np.ndarray, sigma: np.ndarray,
     d, m = rho.shape[0], sigma.shape[0]
     if m != ancilla_dim(d):
         raise DimensionError(f"ancilla must have dimension {ancilla_dim(d)} for d={d}")
-    u = build_dephasing_unitary(d, tol=tol).dilation[0]
-    joint = u @ tensor(rho, sigma) @ u.conj().T
-    rho_out = hermitize(partial_trace(joint, (d, m), [0]))
-    sigma_out = hermitize(partial_trace(joint, (d, m), [1]))
-    return rho_out, sigma_out
+    return couple(rho, sigma, None, dephasing_ops(d))
 
 
 @dataclass(frozen=True)
@@ -376,14 +377,11 @@ def machine_iterate(rho: np.ndarray, sigma_stream: list[np.ndarray],
         raise PreconditionError("need at least one fuel state")
     d = rho.shape[0]
     m = ancilla_dim(d)
-    u = build_dephasing_unitary(d, tol=tol).dilation[0]
+    ops = dephasing_ops(d)
     eye_m = np.eye(m, dtype=complex) / m
     eye_d = np.eye(d, dtype=complex) / d
     target = pinch(rho)
     rho_mix_dist = trace_norm(rho - eye_d)
-
-    def couple(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return u @ tensor(a, b) @ u.conj().T
 
     rows = []
     rho_n = rho
@@ -393,8 +391,8 @@ def machine_iterate(rho: np.ndarray, sigma_stream: list[np.ndarray],
         sigma = check_density_matrix(sigma, tol)
         if sigma.shape[0] != m:
             raise DimensionError(f"fuel states must have dimension {m}")
-        rho_n = hermitize(partial_trace(couple(rho_n, sigma), (d, m), [0]))
-        sigma_n = hermitize(partial_trace(couple(rho, sigma_n), (d, m), [1]))
+        rho_n = couple(rho_n, sigma, None, ops)[0]
+        sigma_n = couple(rho, sigma_n, None, ops)[1]
         bound_sys *= trace_norm(sigma - eye_m)
         rows.append(MachineRow(
             n=n,
@@ -420,12 +418,9 @@ def decoherence_unitary(d: int, basis: np.ndarray | None = None,
     the whole environment pinches any input state exactly.
     """
     m = ancilla_dim(d)
-    if d * m * m > tol.dim_cap:
-        raise ResourceLimitError("purified environment exceeds the dimension cap")
-    b = computational_or(basis, d)
-    ops = list(weylops.weyl_basis(m).ops[:d])
-    u_se1 = controlled_basis_unitary(b, ops)
-    return tensor(u_se1, np.eye(m, dtype=complex))
+    eye_m = np.eye(m, dtype=complex)
+    ops = [np.kron(op, eye_m) for op in weylops.weyl_basis(m).ops[:d]]
+    return controlled_basis_unitary(computational_or(basis, d), ops, tol)
 
 
 def entangled_pair_state(m: int) -> np.ndarray:
@@ -465,16 +460,11 @@ def measurement_process(psi: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     if d < 2:
         raise PreconditionError("measurement needs dimension >= 2")
     m = ancilla_dim(d)
-    if d * d * m * m > tol.dim_cap:
-        raise ResourceLimitError("measurement register exceeds the dimension cap")
     x = weylops.shift_x(d)
-    pointer_gates = [np.linalg.matrix_power(x, i) for i in range(d)]
-    ops = list(weylops.weyl_basis(m).ops[:d])
-    w = np.zeros((d * d * m * m, d * d * m * m), dtype=complex)
-    for i in range(d):
-        proj = np.zeros((d, d), dtype=complex)
-        proj[i, i] = 1.0
-        w += tensor(proj, pointer_gates[i], ops[i], np.eye(m, dtype=complex))
+    eye_m = np.eye(m, dtype=complex)
+    gates = [np.kron(np.kron(np.linalg.matrix_power(x, i), op), eye_m)
+             for i, op in enumerate(weylops.weyl_basis(m).ops[:d])]
+    w = controlled_basis_unitary(np.eye(d, dtype=complex), gates, tol)
     pointer0 = np.zeros(d, dtype=complex)
     pointer0[0] = 1.0
     vec = w @ np.kron(np.kron(psi, pointer0), entangled_pair_state(m))

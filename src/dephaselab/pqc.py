@@ -29,6 +29,7 @@ from itertools import product
 
 import numpy as np
 
+from .dephaser import controlled_basis_unitary
 from .qcore import (
     DimensionError,
     PreconditionError,
@@ -132,15 +133,11 @@ class IntegrityError(RuntimeError):
 def _layer(basis: np.ndarray, conjugate: bool, layout: tuple[int, ...],
            ancilla: int) -> np.ndarray:
     """sum_i |i><i| (x) U_i embedded on (S, ancilla); U_(i1,i2) = X^i1 Z^i2."""
-    u = np.zeros((8, 8), dtype=complex)
-    for i1, i2 in product(range(2), repeat=2):
-        i = 2 * i1 + i2
-        op = np.linalg.matrix_power(_X, i1) @ np.linalg.matrix_power(_Z, i2)
-        if conjugate:
-            op = op.conj()
-        proj = np.outer(basis[:, i], basis[:, i].conj())
-        u += np.kron(proj, op)
-    return embed_operator(u, layout, [0, ancilla])
+    ops = [np.linalg.matrix_power(_X, i1) @ np.linalg.matrix_power(_Z, i2)
+           for i1, i2 in product(range(2), repeat=2)]
+    if conjugate:
+        ops = [op.conj() for op in ops]
+    return embed_operator(controlled_basis_unitary(basis, ops), layout, [0, ancilla])
 
 
 @lru_cache(maxsize=8)

@@ -93,6 +93,12 @@ def check_layout(layout: Sequence[int], dim: int) -> tuple[int, ...]:
     return dims
 
 
+def require_dim(n: int, tol: Tolerances = TOL) -> None:
+    """Refuse a joint space of dimension ``n`` above ``tol.dim_cap``."""
+    if n > tol.dim_cap:
+        raise ResourceLimitError(f"joint dimension {n} exceeds the configured cap {tol.dim_cap}")
+
+
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
@@ -106,10 +112,7 @@ def tensor(*ops: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     if not ops:
         raise ValueError("tensor() needs at least one operator")
     mats = [np.asarray(op, dtype=complex) for op in ops]
-    joint = math.prod(m.shape[0] for m in mats)
-    if joint > tol.dim_cap:
-        raise ResourceLimitError(
-            f"joint dimension {joint} exceeds the configured cap {tol.dim_cap}")
+    require_dim(math.prod(m.shape[0] for m in mats), tol)
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)

@@ -31,10 +31,9 @@ import numpy as np
 import scipy.linalg
 
 from . import weylops
-from .dephaser import pinch
+from .dephaser import controlled_basis_unitary, pinch
 from .qcore import (
     PreconditionError,
-    ResourceLimitError,
     hermitize,
     partial_trace,
     tensor,
@@ -82,33 +81,25 @@ def _mixed_radix_labels(factors: tuple[int, ...]) -> list[tuple[int, ...]]:
     return labels
 
 
-def ancilla_family(spec: RecurrenceSpec) -> list[np.ndarray]:
-    """The m^2 ancilla unitaries, indexed row-major by the (r, s) label pair.
+def ancilla_family(spec: RecurrenceSpec, k: int = 1) -> list[np.ndarray]:
+    """The m^2 ancilla unitaries to the power k, row-major in the (r, s) labels.
 
     Each unitary is the tensor product over prime factors of the Weyl
-    operator with the corresponding index components.
+    operator with the corresponding index components, scaled by k.
     """
     labels = _mixed_radix_labels(spec.factors)
     ops = []
     for r in labels:
         for s in labels:
-            parts = [weylops.weyl_op(p, r[j], s[j]) for j, p in enumerate(spec.factors)]
+            parts = [weylops.weyl_op(p, k * r[j], k * s[j])
+                     for j, p in enumerate(spec.factors)]
             ops.append(reduce(np.kron, parts))
     return ops
 
 
 def recurrence_unitary(spec: RecurrenceSpec, tol: Tolerances = TOL) -> np.ndarray:
     """The full coupling unitary on the d*m joint space."""
-    if spec.d * spec.m > tol.dim_cap:
-        raise ResourceLimitError(
-            f"joint dimension {spec.d * spec.m} exceeds cap {tol.dim_cap}")
-    ops = ancilla_family(spec)
-    v = np.zeros((spec.d * spec.m, spec.d * spec.m), dtype=complex)
-    for i, op in enumerate(ops):
-        proj = np.zeros((spec.d, spec.d), dtype=complex)
-        proj[i, i] = 1.0
-        v += tensor(proj, op)
-    return v
+    return controlled_basis_unitary(np.eye(spec.d, dtype=complex), ancilla_family(spec), tol)
 
 
 def hadamard_coefficients(spec: RecurrenceSpec, k: int) -> np.ndarray:
@@ -119,15 +110,7 @@ def hadamard_coefficients(spec: RecurrenceSpec, k: int) -> np.ndarray:
     index scaled by k componentwise, so the Gram entries are evaluated from
     the scaled labels without building joint-space matrices.
     """
-    labels = _mixed_radix_labels(spec.factors)
-    powered = []
-    for r in labels:
-        for s in labels:
-            parts = [weylops.weyl_op(p, k * r[j], k * s[j])
-                     for j, p in enumerate(spec.factors)]
-            powered.append(reduce(np.kron, parts).ravel())
-    stack = np.stack(powered)
-    return (stack @ stack.conj().T) / spec.m
+    return weylops.operator_gram(ancilla_family(spec, k))
 
 
 def stroboscopic_map(spec: RecurrenceSpec, rho: np.ndarray, k: int) -> np.ndarray:
@@ -318,9 +301,5 @@ def even_m_diagnostic(m: int, k: int | None = None) -> np.ndarray:
         raise PreconditionError("diagnostic applies to even m only")
     if k is None:
         k = m
-    powered = []
-    for r in range(m):
-        for s in range(m):
-            powered.append(weylops.weyl_op(m, k * r, k * s).ravel())
-    stack = np.stack(powered)
-    return (stack @ stack.conj().T) / m
+    return weylops.operator_gram([weylops.weyl_op(m, k * r, k * s)
+                                  for r in range(m) for s in range(m)])

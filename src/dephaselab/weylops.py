@@ -61,6 +61,19 @@ def weyl_op(m: int, r: int, s: int) -> np.ndarray:
     return phase * mat
 
 
+def operator_gram(ops, sigma: np.ndarray | None = None) -> np.ndarray:
+    """G_ij = tr(U_i sigma U_j†) for a family of m x m operators.
+
+    ``sigma = None`` means I/m, so G is the normalised trace inner product
+    (1/m) tr(U_i U_j†): the identity for a trace-orthonormal family.
+    """
+    mats = np.asarray(ops, dtype=complex)
+    n, m = mats.shape[0], mats.shape[-1]
+    stack = mats.reshape(n, m * m)
+    left = stack / m if sigma is None else (mats @ sigma).reshape(n, m * m)
+    return left @ stack.conj().T
+
+
 @dataclass(frozen=True)
 class UnitaryOperatorBasis:
     """m^2 unitaries on an m-dimensional space, orthonormal under
@@ -74,8 +87,7 @@ class UnitaryOperatorBasis:
         m = self.dim
         if len(self.ops) != m * m:
             raise InvariantViolation("operator basis must contain dim^2 elements")
-        stack = np.stack([op.ravel() for op in self.ops])
-        gram = (stack @ stack.conj().T) / m
+        gram = operator_gram(self.ops)
         if np.max(np.abs(gram - np.eye(m * m))) > TOL.basis_gram:
             raise InvariantViolation("operator basis is not trace-orthonormal")
 

@@ -149,3 +149,67 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         assert main(["dephase", "--d", "4", "--trials", "2",
                      "--tol-file", str(tol), "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dephase", "--d", "1"], "dephasing needs system dimension >= 2"),
+        (["recur", "--m", "4"], "recurrence construction requires odd m >= 3"),
+        (["machine", "--iters", "0"], "need at least one fuel state"),
+        (["expander", "--e", "4"], "lattice size must be odd and >= 3"),
+        (["transition", "--d", "1024", "--trials", "1"],
+         "joint dimension 32768 exceeds the configured cap 4096"),
+    ])
+    def test_precondition_and_cap_errors_are_two(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_error_bits_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pqc", "--error", "012"])
+        assert exc.value.code == 2
+        assert "error must be four bits" in capsys.readouterr().err
+
+    def test_composite_fig3_still_fails_its_check(self, tmp_path, capsys):
+        assert main(["fig3", "--m", "9", "--samples", "4",
+                     "--out", str(tmp_path / "f")]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: integer-time distance too large at m=9, t=3\n")
+
+    @pytest.mark.parametrize("key", ["command", "config"])
+    def test_config_cannot_set_command_or_config(self, key, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "recur"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "dephase"])
+        assert exc.value.code == 2
+
+    def test_config_values_parsed_by_flag_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "o.csv"
+        cfg.write_text(json.dumps({"d": "4", "trials": "2", "out": str(out)}))
+        assert main(["--config", str(cfg), "dephase", "--deterministic"]) == 0
+        lines = payload_lines(out)
+        assert len(lines) == 3 and lines[1].startswith("4,0,")
+
+    def test_config_value_of_wrong_type_is_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": "four"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "dephase"])
+        assert exc.value.code == 2
+
+    def test_flag_overrides_string_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "o.csv"
+        cfg.write_text(json.dumps({"d": "4", "trials": "2"}))
+        assert main(["--config", str(cfg), "dephase", "--d", "3", "--trials", "1",
+                     "--out", str(out), "--deterministic"]) == 0
+        lines = payload_lines(out)
+        assert len(lines) == 2 and lines[1].startswith("3,0,")
+
+    def test_config_list_values_reach_list_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        prefix = tmp_path / "sweep"
+        cfg.write_text(json.dumps({"m": [3], "samples": 4, "out": str(prefix)}))
+        assert main(["--config", str(cfg), "fig3", "--deterministic"]) == 0
+        assert Path(f"{prefix}_m3.csv").exists()
