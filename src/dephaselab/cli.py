@@ -280,7 +280,7 @@ def cmd_recur(args, tol: Tolerances) -> None:
 
 
 def cmd_fig3(args, tol: Tolerances) -> None:
-    sweeps = recurrence.fig3_sweep(args.m, args.samples, tol)
+    sweeps = recurrence.fig3_sweep(args.m, args.samples)
     prefix = args.out if args.out else "fig3"
     meta_base = reporting.metadata("fig3", args.seed, tol, args.deterministic)
     for m, sweep in sweeps.items():

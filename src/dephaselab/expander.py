@@ -168,37 +168,36 @@ def phase_point_operator(d: int, p: int, q: int) -> np.ndarray:
     return w @ parity_operator(d) @ w.conj().T
 
 
+def _anti_diagonals(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q + x, q - x) mod d over the grid (x, q): column q walks a + b = 2q."""
+    x, q = np.ogrid[:d, :d]
+    return (q + x) % d, (q - x) % d
+
+
 def wigner_from_state(rho: np.ndarray) -> WignerFunction:
     """W(p, q) = (1/d) tr(A(p,q) rho) with A the displaced parity operators.
 
-    Uses the closed form A(p,q)[a, j] = w^{2p(q-j)} [a = 2q - j mod d], so
-    the full transform costs O(d^3).
+    The closed form A(p,q)[a, j] = w^{2p(q-j)} [a = 2q - j mod d] gives
+    W(p, q) = (1/d) sum_x w^{2px} rho[q - x, q + x]: one gather of the
+    anti-diagonals and one FFT read at frequency 2p, O(d^2 log d).
     """
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     if d % 2 == 0:
         raise PreconditionError("Wigner construction requires odd dimension")
-    omega = np.exp(2j * np.pi / d)
-    j = np.arange(d)
-    vals = np.empty((d, d))
-    for q in range(d):
-        row = rho[j, (2 * q - j) % d]       # M[j, 2q-j]
-        for p in range(d):
-            vals[p, q] = (np.sum(omega ** ((2 * p * (q - j)) % d) * row) / d).real
+    plus, minus = _anti_diagonals(d)
+    vals = np.fft.ifft(rho[minus, plus], axis=0)[(2 * np.arange(d)) % d].real
     return WignerFunction(d=d, values=vals)
 
 
 def state_from_wigner(w: WignerFunction) -> np.ndarray:
-    """Inverse transform, M = sum_{p,q} W(p,q) A(p,q)."""
+    """Inverse transform, M = sum_{p,q} W(p,q) A(p,q); the same DFT scattered
+    back: M[q + x, q - x] = sum_p W(p, q) w^{2px}."""
     d = w.d
-    omega = np.exp(2j * np.pi / d)
-    inv2 = pow(2, -1, d)
+    plus, minus = _anti_diagonals(d)
+    by_freq = w.values[(pow(2, -1, d) * np.arange(d)) % d]   # row k holds p = k/2
     out = np.empty((d, d), dtype=complex)
-    p = np.arange(d)
-    for a in range(d):
-        for b in range(d):
-            q = (inv2 * (a + b)) % d
-            out[a, b] = np.sum(w.values[:, q] * omega ** ((2 * p * (q - b)) % d))
+    out[plus, minus] = d * np.fft.ifft(by_freq, axis=0)
     return out
 
 

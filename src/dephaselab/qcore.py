@@ -143,8 +143,11 @@ def partial_trace(op: np.ndarray, layout: Sequence[int],
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Schatten 1-norm (sum of singular values)."""
+    """Schatten 1-norm: the sum of singular values, or of absolute eigenvalues
+    (half the cost) when ``a`` is exactly Hermitian, as state differences are."""
     a = as_operator(a)
+    if np.array_equal(a, a.conj().T):
+        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
@@ -241,6 +244,7 @@ def schur_horn_unitary(spectrum: Sequence[float], target_diagonal: Sequence[floa
     order).  V is a product of at most n-1 two-level rotations composed with
     a permutation; each rotation pins one diagonal entry to its target, and
     once pinned an index is never rotated again, so earlier entries survive.
+    A rotation touches only its two rows of V, so the cost is O(n^2).
     """
     lam = np.asarray(spectrum, dtype=float)
     tgt = np.asarray(target_diagonal, dtype=float)
@@ -265,13 +269,7 @@ def schur_horn_unitary(spectrum: Sequence[float], target_diagonal: Sequence[floa
     for step, tgt_idx in enumerate(order):
         t = tgt[tgt_idx]
         # Largest j with values[j] >= t; tolerate round-off at the boundary.
-        j = None
-        for i in range(len(values) - 1, -1, -1):
-            if values[i] >= t - 1e-12:
-                j = i
-                break
-        if j is None:
-            j = 0
+        j = max((i for i, x in enumerate(values) if x >= t - 1e-12), default=0)
         if j == len(values) - 1:
             # t matches the last remaining value (up to round-off): no rotation.
             placed[tgt_idx] = positions[j]
@@ -285,22 +283,14 @@ def schur_horn_unitary(spectrum: Sequence[float], target_diagonal: Sequence[floa
         else:
             c2 = 1.0
         c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
-        g = np.eye(n, dtype=complex)
-        g[p, p] = c
-        g[p, q] = -s
-        g[q, p] = s
-        g[q, q] = c
-        v = g @ v
+        v[[p, q]] = np.array([[c, -s], [s, c]]) @ v[[p, q]]   # rotates rows p, q only
         placed[tgt_idx] = p
         values[j + 1] = a + b - t           # merged value stays sorted at slot j+1
         values.pop(j)
         positions.pop(j)
 
     # Permute so the pinned value for target index i lands at position i.
-    perm = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        perm[i, placed[i]] = 1.0
-    return perm @ v
+    return v[placed]
 
 
 def embed_operator(u: np.ndarray, layout: Sequence[int],

@@ -150,18 +150,10 @@ def construction_predicted_map(spec: RecurrenceSpec, rho: np.ndarray,
     Index components whose prime factor divides k are left untouched; all
     others are pinched.  For prime m this coincides with ``predicted_map``;
     for composite m it differs at k divisible by a proper prime factor.
+    The mask is a Kronecker product of all-ones (kept) or identity blocks.
     """
-    labels = _mixed_radix_labels(spec.factors)
-    keep = [j for j, p in enumerate(spec.factors) if k % p == 0]
-    mask = np.zeros((spec.d, spec.d))
-    flat = [(r, s) for r in labels for s in labels]
-    for a, (r, s) in enumerate(flat):
-        for b, (u, w) in enumerate(flat):
-            same_pinched = all(
-                (r[j], s[j]) == (u[j], w[j])
-                for j in range(len(spec.factors)) if j not in keep)
-            mask[a, b] = 1.0 if same_pinched else 0.0
-    return np.asarray(rho, dtype=complex) * mask
+    blocks = [np.ones((p, p)) if k % p == 0 else np.eye(p) for p in spec.factors]
+    return np.asarray(rho, dtype=complex) * reduce(np.kron, blocks + blocks)
 
 
 def phase_kernel(m: int, k: int, r: int, u: int, s: int, v: int) -> complex:
@@ -179,7 +171,8 @@ def phase_kernel(m: int, k: int, r: int, u: int, s: int, v: int) -> complex:
 # ---------------------------------------------------------------------------
 
 class ContinuousEvolver:
-    """Evolution under the Hermitian generator of a joint unitary.
+    """Evolution under the Hermitian generator of a joint unitary; the dense
+    reference for ``continuous_coefficients``.
 
     Diagonalizes the unitary once (complex Schur, exact for normal
     matrices); each time point then costs one phase rotation per eigenvalue.
@@ -261,19 +254,36 @@ def maximally_coherent_vector(d: int) -> np.ndarray:
     return np.full(d, 1.0 / math.sqrt(d), dtype=complex)
 
 
-def fig3_sweep(m_values: list[int], samples_per_period: int = 64,
-               tol: Tolerances = TOL) -> dict[int, TimeSweep]:
+def continuous_coefficients(spec: RecurrenceSpec):
+    """t -> C_t[a, b] = (1/m) tr(U_a^t U_b^{-t}); the continuous-time map
+    rho -> tr_R[V^t (rho (x) I/m) V^{-t}] is rho -> rho * C_t elementwise.
+
+    V = sum_a |a><a| (x) U_a is block diagonal, so V^t = sum_a |a><a| (x) U_a^t
+    on the principal branch of ``unitary_eigenphases``.  Each U_a is Schur-
+    decomposed once; a time point costs m^2 small products and one Gram.
+    """
+    schur = [scipy.linalg.schur(u, output="complex") for u in ancilla_family(spec)]
+    vecs = np.stack([q for _, q in schur])
+    phases = -np.stack([unitary_eigenphases(np.diagonal(tri)) for tri, _ in schur])
+
+    def at(t: float) -> np.ndarray:
+        rot = np.exp(1j * phases * t)[:, None, :]
+        return weylops.operator_gram((vecs * rot) @ vecs.conj().transpose(0, 2, 1))
+    return at
+
+
+def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, TimeSweep]:
     """Continuous-time robustness sweep for the maximally coherent input.
 
     For each odd m the coupling is evolved over one period t in [0, m]; the
     sample grid always contains the integer times and the half-period
-    midpoint in addition to the uniform grid.
+    midpoint in addition to the uniform grid.  The reduced states come from
+    ``continuous_coefficients``, so the joint dimension m^3 is never formed.
     """
     out = {}
     for m in m_values:
         spec = RecurrenceSpec.for_ancilla(m)
-        v = recurrence_unitary(spec, tol)
-        evolver = ContinuousEvolver(v, spec.d, spec.m)
+        coefficients = continuous_coefficients(spec)
         psi = maximally_coherent_vector(spec.d)
         rho = np.outer(psi, psi.conj())
         target = pinch(rho)
@@ -282,7 +292,7 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64,
         grid.add(m / 2.0)
         points = []
         for t in sorted(grid):
-            delta = evolver.reduced_state(rho, t) - target
+            delta = hermitize(rho * coefficients(t)) - target
             points.append((t, trace_norm(delta), two_norm(delta)))
         out[m] = TimeSweep(m=m, points=tuple(points))
     return out

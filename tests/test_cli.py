@@ -94,6 +94,29 @@ class TestCommandsRun:
         assert doc["entropy_budget"]["saturated"]
 
 
+class TestSizes:
+    def test_fig3_above_the_old_joint_cap(self, tmp_path):
+        # joint dimension 17^3 = 4913 exceeds dim_cap; fig3 never forms the joint
+        prefix = tmp_path / "sweep"
+        assert main(["fig3", "--m", "17", "--samples", "4",
+                     "--out", str(prefix), "--deterministic"]) == 0
+        assert len(payload_lines(Path(f"{prefix}_m17.csv"))) > 17
+
+    def test_expander_at_e15(self, tmp_path):
+        out = tmp_path / "expander.csv"
+        assert main(["expander", "--e", "15", "--k", "30",
+                     "--out", str(out), "--deterministic"]) == 0
+        assert len(payload_lines(out)) == 32   # header + k = 0..30
+
+    def test_composite_fig3_fails_before_writing(self, tmp_path, capsys):
+        prefix = tmp_path / "f"
+        assert main(["fig3", "--m", "9", "--samples", "16",
+                     "--out", str(prefix), "--deterministic"]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: integer-time distance too large at m=9, t=3\n")
+        assert not Path(f"{prefix}_m9.csv").exists()
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("cmd", [
         ["dephase", "--d", "5", "--trials", "4", "--seed", "9"],

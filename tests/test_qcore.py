@@ -124,6 +124,20 @@ class TestNorms:
         assert two_norm(u @ a @ u.conj().T) == pytest.approx(two_norm(a), abs=1e-10)
 
 
+class TestTraceNormPaths:
+    def test_hermitian_path_matches_singular_values(self, rng):
+        for d in range(2, 65):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = qcore.hermitize(a)
+            assert np.array_equal(h, h.conj().T)
+            svd_sum = np.sum(np.linalg.svd(h, compute_uv=False))
+            assert trace_norm(h) == pytest.approx(svd_sum, rel=1e-12, abs=0)
+
+    def test_non_hermitian_input_gives_singular_value_sum(self, rng):
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        assert trace_norm(a) == float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
 class TestEntropy:
     def test_pure_state(self, rng):
         assert von_neumann_entropy(random_pure_state(5, rng)) == pytest.approx(0.0, abs=1e-10)
@@ -240,6 +254,15 @@ class TestSchurHorn:
     def test_majorization_precondition(self):
         with pytest.raises(PreconditionError):
             schur_horn_unitary([0.6, 0.4], [0.8, 0.2])
+
+    def test_large_dimension(self, rng):
+        n = 128
+        lam = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        tgt = rng.permutation(random_majorized_spectrum(lam, rng, mixes=4 * n))
+        v = schur_horn_unitary(lam, tgt)
+        got = np.real(np.diagonal(v @ np.diag(lam) @ v.conj().T))
+        np.testing.assert_allclose(got, tgt, rtol=0, atol=TOL.schur_horn_diag)
+        assert np.max(np.abs(v @ v.conj().T - np.eye(n))) <= TOL.unitarity
 
 
 class TestEmbedAndSerialize:

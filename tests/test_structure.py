@@ -1,0 +1,146 @@
+"""Structured evaluation paths against their looped and dense references.
+
+The Wigner transforms (gather plus DFT), the Kronecker mask of the
+construction prediction and the block-diagonal continuous-time sweep are
+each compared with a literal implementation: the looped transforms and mask
+kept below, and the dense ``ContinuousEvolver`` on the full joint unitary.
+"""
+
+import numpy as np
+import pytest
+
+from dephaselab import expander as ex
+from dephaselab import recurrence as rec
+from dephaselab.qcore import hermitize
+from dephaselab.sampling import random_density_matrix
+from dephaselab.tolerances import TOL
+
+ODD_DIMS = [3, 5, 7, 9, 15, 25, 49, 81]
+
+
+# ---------------------------------------------------------------------------
+# Looped references
+# ---------------------------------------------------------------------------
+
+def looped_wigner_from_state(rho: np.ndarray) -> np.ndarray:
+    """W(p, q) = (1/d) sum_j w^{2p(q-j)} rho[j, 2q - j], one entry at a time."""
+    d = rho.shape[0]
+    omega = np.exp(2j * np.pi / d)
+    j = np.arange(d)
+    vals = np.empty((d, d))
+    for q in range(d):
+        row = rho[j, (2 * q - j) % d]
+        for p in range(d):
+            vals[p, q] = (np.sum(omega ** ((2 * p * (q - j)) % d) * row) / d).real
+    return vals
+
+
+def looped_state_from_wigner(values: np.ndarray) -> np.ndarray:
+    """M[a, b] = sum_p W(p, q) w^{2p(q-b)} with q = (a + b)/2 mod d."""
+    d = values.shape[0]
+    omega = np.exp(2j * np.pi / d)
+    inv2 = pow(2, -1, d)
+    out = np.empty((d, d), dtype=complex)
+    p = np.arange(d)
+    for a in range(d):
+        for b in range(d):
+            q = (inv2 * (a + b)) % d
+            out[a, b] = np.sum(values[:, q] * omega ** ((2 * p * (q - b)) % d))
+    return out
+
+
+def looped_mask(spec: rec.RecurrenceSpec, keep: tuple[int, ...]) -> np.ndarray:
+    """1 where every pinched index component of (r, s) and (u, w) agrees;
+    ``keep`` lists the components whose prime factor divides k."""
+    labels = rec._mixed_radix_labels(spec.factors)
+    flat = [(r, s) for r in labels for s in labels]
+    mask = np.zeros((spec.d, spec.d))
+    for a, (r, s) in enumerate(flat):
+        for b, (u, w) in enumerate(flat):
+            mask[a, b] = float(all((r[j], s[j]) == (u[j], w[j])
+                                   for j in range(len(spec.factors)) if j not in keep))
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# Wigner transforms
+# ---------------------------------------------------------------------------
+
+class TestWignerTransforms:
+    @pytest.mark.parametrize("d", ODD_DIMS)
+    def test_forward_matches_loop(self, d, rng):
+        rho = random_density_matrix(d, rng)
+        got = ex.wigner_from_state(rho).values
+        np.testing.assert_allclose(got, looped_wigner_from_state(rho), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", ODD_DIMS)
+    def test_inverse_matches_loop(self, d, rng):
+        values = looped_wigner_from_state(random_density_matrix(d, rng))
+        got = ex.state_from_wigner(ex.WignerFunction(d, values))
+        np.testing.assert_allclose(got, looped_state_from_wigner(values), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", ODD_DIMS)
+    def test_round_trip(self, d, rng):
+        rho = random_density_matrix(d, rng)
+        back = ex.state_from_wigner(ex.wigner_from_state(rho))
+        assert np.max(np.abs(back - rho)) <= TOL.wigner_roundtrip
+
+
+# ---------------------------------------------------------------------------
+# Construction mask
+# ---------------------------------------------------------------------------
+
+class TestKroneckerMask:
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21])
+    def test_mask_equals_loop(self, m):
+        spec = rec.RecurrenceSpec.for_ancilla(m)
+        ones = np.ones((spec.d, spec.d))
+        masks = {}   # the loop depends on k only through the kept components
+        for k in range(1, 2 * m + 1):
+            keep = tuple(j for j, p in enumerate(spec.factors) if k % p == 0)
+            if keep not in masks:
+                masks[keep] = looped_mask(spec, keep)
+            got = rec.construction_predicted_map(spec, ones, k).real
+            np.testing.assert_array_equal(got, masks[keep])
+
+
+# ---------------------------------------------------------------------------
+# Continuous time
+# ---------------------------------------------------------------------------
+
+class TestBlockContinuousTime:
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_matches_dense_evolver_on_the_sweep_grid(self, m):
+        spec = rec.RecurrenceSpec.for_ancilla(m)
+        dense = rec.ContinuousEvolver(rec.recurrence_unitary(spec), spec.d, spec.m)
+        coefficients = rec.continuous_coefficients(spec)
+        psi = rec.maximally_coherent_vector(spec.d)
+        rho = np.outer(psi, psi.conj())
+        target = np.diag(np.diagonal(rho))
+        for t, dist_trace, dist_two in rec.fig3_sweep([m], samples_per_period=8)[m].points:
+            want = dense.reduced_state(rho, t)
+            np.testing.assert_allclose(hermitize(rho * coefficients(t)), want,
+                                       rtol=0, atol=1e-12)
+            assert dist_two == pytest.approx(np.linalg.norm(want - target), abs=1e-12)
+            assert dist_trace == pytest.approx(
+                np.sum(np.linalg.svd(want - target, compute_uv=False)), abs=1e-11)
+
+    def test_mixed_input_matches_dense_evolver(self, rng):
+        spec = rec.RecurrenceSpec.for_ancilla(5)
+        dense = rec.ContinuousEvolver(rec.recurrence_unitary(spec), spec.d, spec.m)
+        coefficients = rec.continuous_coefficients(spec)
+        rho = random_density_matrix(spec.d, rng)
+        for t in (0.0, 0.3, 1.0, 2.5, 4.75):
+            np.testing.assert_allclose(hermitize(rho * coefficients(t)),
+                                       dense.reduced_state(rho, t), rtol=0, atol=1e-12)
+
+
+class TestTimeSweepScaling:
+    def test_midpoint_two_norm_decreases_over_primes(self):
+        primes = [3, 5, 7, 11, 13]
+        sweeps = rec.fig3_sweep(primes, samples_per_period=2)
+        midpoints = [sweeps[m].distance_at(m / 2.0, norm="two") for m in primes]
+        assert all(a > b for a, b in zip(midpoints, midpoints[1:])), midpoints
+        for m in primes:
+            for k in range(1, m):
+                assert sweeps[m].distance_at(float(k)) <= TOL.integer_time_residual
