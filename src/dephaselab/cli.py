@@ -188,11 +188,8 @@ def cmd_classical_dephase(args, tol: Tolerances) -> None:
         if res > tol.dephasing_residual:
             raise CheckFailure(f"residual above tolerance at trial {trial}")
     # rank witness: a mixture one unitary short cannot reach full rank
-    from .weylops import clock_z
-    z = clock_z(d)
-    truncated = dephaser.NoisyChannel(
-        kind="classical-mixture", dim=d,
-        mixture=tuple(np.linalg.matrix_power(z, j + 1) for j in range(d - 1)))
+    truncated = dephaser.NoisyChannel(kind="classical-mixture", dim=d,
+                                      mixture=channel.mixture[:-1])
     rank, m_trunc = bounds_mod.rank_witness(truncated, tol)
     if rank > m_trunc:
         raise CheckFailure("rank witness exceeded the mixture size")

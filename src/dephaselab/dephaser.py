@@ -189,8 +189,7 @@ def classical_dephasing_channel(d: int) -> NoisyChannel:
     """Uniform mixture of the d clock powers; pinches the computational basis."""
     if d < 2:
         raise PreconditionError("dephasing needs system dimension >= 2")
-    z = weylops.clock_z(d)
-    powers = tuple(np.linalg.matrix_power(z, j + 1) for j in range(d))
+    powers = tuple(weylops.weyl_family(d, 0, np.arange(1, d + 1)))
     return NoisyChannel(kind="classical-mixture", dim=d, mixture=powers)
 
 
@@ -460,10 +459,10 @@ def measurement_process(psi: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     if d < 2:
         raise PreconditionError("measurement needs dimension >= 2")
     m = ancilla_dim(d)
-    x = weylops.shift_x(d)
+    shifts = weylops.weyl_family(d, np.arange(d), 0)
     eye_m = np.eye(m, dtype=complex)
-    gates = [np.kron(np.kron(np.linalg.matrix_power(x, i), op), eye_m)
-             for i, op in enumerate(weylops.weyl_basis(m).ops[:d])]
+    gates = [np.kron(np.kron(x_i, op), eye_m)
+             for x_i, op in zip(shifts, weylops.weyl_basis(m).ops[:d])]
     w = controlled_basis_unitary(np.eye(d, dtype=complex), gates, tol)
     pointer0 = np.zeros(d, dtype=complex)
     pointer0[0] = 1.0

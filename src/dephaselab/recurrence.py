@@ -81,20 +81,25 @@ def _mixed_radix_labels(factors: tuple[int, ...]) -> list[tuple[int, ...]]:
     return labels
 
 
-def ancilla_family(spec: RecurrenceSpec, k: int = 1) -> list[np.ndarray]:
+def ancilla_family(spec: RecurrenceSpec, k: int = 1) -> np.ndarray:
     """The m^2 ancilla unitaries to the power k, row-major in the (r, s) labels.
 
     Each unitary is the tensor product over prime factors of the Weyl
-    operator with the corresponding index components, scaled by k.
+    operator with the corresponding index components, scaled by k; the
+    factors are built as one stack each and combined by a batched Kronecker
+    product.
     """
-    labels = _mixed_radix_labels(spec.factors)
-    ops = []
-    for r in labels:
-        for s in labels:
-            parts = [weylops.weyl_op(p, k * r[j], k * s[j])
-                     for j, p in enumerate(spec.factors)]
-            ops.append(reduce(np.kron, parts))
-    return ops
+    labels = np.array(_mixed_radix_labels(spec.factors))
+    r, s = np.divmod(np.arange(spec.m * spec.m), spec.m)
+    parts = [weylops.weyl_family(p, k * labels[r, j], k * labels[s, j])
+             for j, p in enumerate(spec.factors)]
+    return reduce(_batched_kron, parts)
+
+
+def _batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a[i], b[i]) for every i, as one (n, pq, pq) array."""
+    n, p, q = a.shape[0], a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * q, p * q)
 
 
 def recurrence_unitary(spec: RecurrenceSpec, tol: Tolerances = TOL) -> np.ndarray:
@@ -311,5 +316,5 @@ def even_m_diagnostic(m: int, k: int | None = None) -> np.ndarray:
         raise PreconditionError("diagnostic applies to even m only")
     if k is None:
         k = m
-    return weylops.operator_gram([weylops.weyl_op(m, k * r, k * s)
-                                  for r in range(m) for s in range(m)])
+    r, s = np.divmod(np.arange(m * m), m)
+    return weylops.operator_gram(weylops.weyl_family(m, k * r, k * s))

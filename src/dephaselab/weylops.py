@@ -5,12 +5,14 @@ Conventions, fixed once for the whole library:
 
 * ``X|i> = |(i+1) mod d>`` and ``Z = sum_j w^j |j><j|`` with ``w = exp(2 pi i/d)``,
   so that ``X Z = w^{-1} Z X``.
-* ``weyl_op(m, r, s) = tau^{r s} X^r Z^s`` with ``tau = -exp(i pi / m)``.  For
-  odd ``m`` the phase has order ``m`` and the family is periodic in both
+* ``weyl_family(m, r, s)`` stacks ``tau^{r s} X^r Z^s`` with
+  ``tau = -exp(i pi / m)`` for label arrays r, s; it is the only builder, and
+  ``shift_x``, ``clock_z``, ``weyl_op`` and ``weyl_basis`` are its members.
+  For odd ``m`` the phase has order ``m`` and the family is periodic in both
   indices; for even ``m`` the phase has order ``2 m``.
 * Phase-space displacements reuse the same phase system,
-  ``w(p, q) = weyl_op(d, p, q)``, restricted to odd ``d`` where the parity
-  operator construction applies.
+  ``w(p, q) = tau^{pq} Z^p X^q = w^{pq} weyl_op(d, q, p)``, restricted to odd
+  ``d`` where the parity operator construction applies.
 """
 
 from __future__ import annotations
@@ -23,42 +25,40 @@ from .qcore import InvariantViolation, PreconditionError
 from .tolerances import TOL, Tolerances
 
 
+def weyl_family(m: int, r, s) -> np.ndarray:
+    """The (n, m, m) stack of tau^{r s} X^r Z^s for integer label arrays r, s.
+
+    The one place the phase convention is written.  r and s broadcast
+    against each other.  X^r and Z^s are periodic in m; the scalar phase is
+    evaluated with the exact integer product ``r*s`` (tau has order 2m), so
+    power identities such as ``U(r, s)^k = U(k r, k s)`` hold for every k.
+    """
+    if m < 2:
+        raise PreconditionError("Weyl operators need dimension >= 2")
+    r, s = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=np.int64)),
+                               np.asarray(s, dtype=np.int64))
+    omega = np.exp(2j * np.pi / m)
+    phase = (-np.exp(1j * np.pi / m)) ** ((r * s) % (2 * m))
+    col = np.arange(m)
+    ops = np.zeros((r.size, m, m), dtype=complex)
+    ops[np.arange(r.size)[:, None], (col + r[:, None] % m) % m, col] = (
+        omega ** ((s[:, None] % m * col) % m))
+    return np.multiply(phase[:, None, None], ops, out=ops)
+
+
 def shift_x(d: int) -> np.ndarray:
     """Cyclic shift matrix, X|i> = |(i+1) mod d>."""
-    if d < 2:
-        raise PreconditionError("shift operator needs dimension >= 2")
-    x = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        x[(i + 1) % d, i] = 1.0
-    return x
+    return weyl_family(d, 1, 0)[0]
 
 
 def clock_z(d: int) -> np.ndarray:
     """Clock matrix, diagonal of d-th roots of unity."""
-    if d < 2:
-        raise PreconditionError("clock operator needs dimension >= 2")
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
+    return weyl_family(d, 0, 1)[0]
 
 
 def weyl_op(m: int, r: int, s: int) -> np.ndarray:
-    """tau^{r s} X^r Z^s for arbitrary integer indices.
-
-    X^r and Z^s are periodic in m; the scalar phase is evaluated with the
-    exact integer product ``r*s`` so that power identities such as
-    ``weyl_op(m, r, s)^k = weyl_op(m, k r, k s)`` hold for every integer k.
-    """
-    if m < 2:
-        raise PreconditionError("operator basis needs dimension >= 2")
-    omega = np.exp(2j * np.pi / m)
-    rm, sm = r % m, s % m
-    # tau = -exp(i pi/m) has order 2m; reduce the exponent exactly.
-    tau_exp = (r * s) % (2 * m)
-    phase = (-np.exp(1j * np.pi / m)) ** tau_exp
-    col = np.arange(m)
-    mat = np.zeros((m, m), dtype=complex)
-    mat[(col + rm) % m, col] = omega ** ((sm * col) % m)
-    return phase * mat
+    """tau^{r s} X^r Z^s for arbitrary integer indices."""
+    return weyl_family(m, r, s)[0]
 
 
 def operator_gram(ops, sigma: np.ndarray | None = None) -> np.ndarray:
@@ -104,9 +104,9 @@ def weyl_basis(m: int) -> UnitaryOperatorBasis:
     The first element is the identity, so taking any leading subset keeps
     orthonormality and contains 1.
     """
-    indices = tuple((r, s) for r in range(m) for s in range(m))
-    ops = tuple(weyl_op(m, r, s) for r, s in indices)
-    return UnitaryOperatorBasis(dim=m, ops=ops, indices=indices)
+    r, s = np.divmod(np.arange(m * m), m)
+    return UnitaryOperatorBasis(dim=m, ops=tuple(weyl_family(m, r, s)),
+                                indices=tuple(zip(r.tolist(), s.tolist())))
 
 
 def computational_basis(d: int) -> np.ndarray:
@@ -159,13 +159,8 @@ def weyl_displacement(d: int, p: int, q: int) -> np.ndarray:
         raise PreconditionError("phase-space construction requires odd dimension")
     if not (0 <= p < d and 0 <= q < d):
         raise PreconditionError("phase-space coordinates must lie in Z_d")
-    tau_exp = (p * q) % (2 * d)
-    phase = (-np.exp(1j * np.pi / d)) ** tau_exp
-    zp = np.diag(np.exp(2j * np.pi * p * np.arange(d) / d))
-    xq = np.zeros((d, d), dtype=complex)
-    col = np.arange(d)
-    xq[(col + q) % d, col] = 1.0
-    return phase * zp @ xq
+    # Z^p X^q = w^{pq} X^q Z^p
+    return np.exp(2j * np.pi * ((p * q) % d) / d) * weyl_op(d, q, p)
 
 
 def expand_in_basis(basis: UnitaryOperatorBasis, a: np.ndarray) -> np.ndarray:
