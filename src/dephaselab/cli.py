@@ -36,8 +36,18 @@ class CheckFailure(Exception):
     """A verification inequality did not hold."""
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    values = [int(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
 def _error_bits(text: str) -> tuple[int, ...]:
@@ -64,22 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dephase", help="exact quantum dephasing residuals")
     p.add_argument("--d", type=int, default=9)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_non_negative_int, default=50)
     common(p)
 
     p = sub.add_parser("classical-dephase", help="clock-mixture dephasing and rank witness")
     p.add_argument("--d", type=int, default=9)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_non_negative_int, default=50)
     common(p)
 
     p = sub.add_parser("transition", help="random majorizing state transitions")
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_non_negative_int, default=100)
     p.add_argument("--mode", choices=["quantum", "classical", "both"], default="both")
     common(p)
 
     p = sub.add_parser("chain", help="dephase several systems with one catalyst")
-    p.add_argument("--n", type=int, default=3, help="number of systems")
+    p.add_argument("--n", type=_non_negative_int, default=3, help="number of systems")
     p.add_argument("--d", type=int, default=2, help="dimension per system")
     common(p)
 
@@ -90,12 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recur", help="stroboscopic maps of the recurrence coupling")
     p.add_argument("--m", type=int, default=3, help="odd ancilla dimension")
-    p.add_argument("--kmax", type=int, default=None, help="default 2m")
+    p.add_argument("--kmax", type=_non_negative_int, default=None, help="default 2m")
     common(p)
 
     p = sub.add_parser("fig3", help="continuous-time robustness sweep")
     p.add_argument("--m", type=_int_list, default=[3, 5, 7], help="comma list of odd m")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_non_negative_int, default=64)
     common(p)
 
     p = sub.add_parser("pqc", help="private-channel transcript")
@@ -179,7 +189,7 @@ def cmd_dephase(args, tol: Tolerances) -> None:
 
 def cmd_classical_dephase(args, tol: Tolerances) -> None:
     d = args.d
-    channel = dephaser.classical_dephasing_channel(d)
+    channel = dephaser.classical_dephasing_channel(d, tol)
     rows = []
     for trial, rng in enumerate(spawn_rngs(args.seed, args.trials)):
         rho = random_density_matrix(d, rng)
@@ -320,7 +330,7 @@ def cmd_expander(args, tol: Tolerances) -> None:
 def cmd_bounds(args, tol: Tolerances) -> None:
     d, eps = args.d, args.epsilon
     quantum = dephaser.build_dephasing_unitary(d, tol=tol)
-    classical = dephaser.classical_dephasing_channel(d)
+    classical = dephaser.classical_dephasing_channel(d, tol)
     probes = bounds_mod.default_probes(d, seed=args.seed)
     rep_q = bounds_mod.measure_epsilon(quantum, probes=probes, tol=tol)
     rep_c = bounds_mod.measure_epsilon(classical, probes=probes, tol=tol)

@@ -185,8 +185,13 @@ def build_dephasing_unitary(d: int, basis: np.ndarray | None = None,
     return NoisyChannel(kind="quantum-dilation", dim=d, dilation=(u, ancilla_ops[0].shape[0]))
 
 
-def classical_dephasing_channel(d: int) -> NoisyChannel:
-    """Uniform mixture of the d clock powers; pinches the computational basis."""
+def classical_dephasing_channel(d: int, tol: Tolerances = TOL) -> NoisyChannel:
+    """Uniform mixture of the d clock powers; pinches the computational basis.
+
+    The powers hold d^3 entries, about as many as the quantum dilation's
+    (d m)^2, so the cap on d * ceil(sqrt(d)) is checked before they are built.
+    """
+    require_dim(d * ancilla_dim(d), tol)
     if d < 2:
         raise PreconditionError("dephasing needs system dimension >= 2")
     powers = tuple(weylops.weyl_family(d, 0, np.arange(1, d + 1)))
@@ -247,7 +252,7 @@ def transition_channel(rho: np.ndarray, rho_prime: np.ndarray,
     d = rho.shape[0]
     # built first, so the dimension cap is checked before the Schur-Horn step
     channel = (build_dephasing_unitary(d, tol=tol) if mode == "quantum"
-               else classical_dephasing_channel(d))
+               else classical_dephasing_channel(d, tol))
     lam, w = _eigh_descending(rho)
     mu, w_prime = _eigh_descending(rho_prime)
     if not majorizes_spectra(lam, mu, tol):

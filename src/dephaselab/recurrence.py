@@ -19,6 +19,15 @@ divisible by a proper prime factor give a coarser, partial pinching; see
 ``construction_predicted_map`` for the exact prediction and
 ``predicted_map`` for the idealized all-or-nothing target it is compared
 against.
+
+No group family can do better for composite m.  Take any nice error basis,
+U_g U_h ~ U_{gh} over a group G of order m^2, so U_g^k ~ U_{g^k} and
+tr U_x = 0 for x != e.  Then C_k[g, e] = (1/m) tr(U_g^k) has unit modulus
+whenever g^k = e.  By Cauchy's theorem G has an element of order p for every
+prime p | m, so for composite m the step k = p < m is not the pinching.
+This covers the tensor construction, the single-ring Z_m x Z_m Weyl family
+and Galois-field families.  The same argument makes recurrence at k = m
+need g^m = e for every g: a cyclic Z_{m^2} index fails there.
 """
 
 from __future__ import annotations

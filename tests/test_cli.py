@@ -180,10 +180,39 @@ class TestExitCodes:
         (["expander", "--e", "4"], "lattice size must be odd and >= 3"),
         (["transition", "--d", "1024", "--trials", "1"],
          "joint dimension 32768 exceeds the configured cap 4096"),
+        (["classical-dephase", "--d", "1024", "--trials", "1"],
+         "joint dimension 32768 exceeds the configured cap 4096"),
+        (["transition", "--d", "1024", "--trials", "1", "--mode", "classical"],
+         "joint dimension 32768 exceeds the configured cap 4096"),
     ])
     def test_precondition_and_cap_errors_are_two(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["dephase", "--trials", "-1"], "--trials"),
+        (["classical-dephase", "--trials", "-1"], "--trials"),
+        (["transition", "--trials", "-1"], "--trials"),
+        (["chain", "--n", "-1"], "--n"),
+        (["fig3", "--samples", "-1"], "--samples"),
+        (["fig3", "--m", ""], "--m"),
+        (["recur", "--kmax", "-3"], "--kmax"),
+    ])
+    def test_negative_or_empty_counts_are_usage_errors(self, argv, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_count_from_config_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": -1, "out": str(tmp_path / "o")}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "dephase"])
+        assert exc.value.code == 2
+        assert "argument --trials:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_malformed_error_bits_are_a_usage_error(self, capsys):

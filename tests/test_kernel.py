@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dephaselab.dephaser import (
     ancilla_dim,
     build_dephasing_unitary,
+    classical_dephasing_channel,
     controlled_basis_unitary,
     couple,
     dephasing_ops,
@@ -94,6 +95,16 @@ class TestCapBeforeAllocation:
         try:
             with pytest.raises(ResourceLimitError):
                 build_dephasing_unitary(1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_classical_mixture_refused_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                classical_dephasing_channel(1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dephaselab import recurrence as rec
+from dephaselab import weylops
 from dephaselab.dephaser import pinch
 from dephaselab.qcore import PreconditionError, trace_norm
 from dephaselab.sampling import random_density_matrix
@@ -206,3 +207,50 @@ class TestEvenDiagnostic:
         c2 = rec.even_m_diagnostic(4, k=2)
         off = c2 - np.diag(np.diagonal(c2))
         assert np.max(np.abs(off)) > 0.5  # some coherences survive
+
+
+def single_ring_powers(m):
+    """k -> the k-th powers of the Z_m x Z_m Weyl family."""
+    r, s = np.divmod(np.arange(m * m), m)
+    return lambda k: weylops.weyl_family(m, k * r, k * s)
+
+
+def tensor_powers(m):
+    """k -> the k-th powers of the prime-factor tensor family."""
+    spec = rec.RecurrenceSpec.for_ancilla(m)
+    return lambda k: rec.ancilla_family(spec, k)
+
+
+def first_failing_k(powers, m):
+    """Smallest k in 1..m-1 whose C_k = operator_gram(k-th powers) is not
+    the identity, or None when every such step pinches exactly."""
+    for k in range(1, m):
+        c = weylops.operator_gram(powers(k))
+        if np.max(np.abs(c - np.eye(m * m))) > TOL.basis_gram:
+            return k
+    return None
+
+
+class TestGroupFamilyScreen:
+    """Criterion 5 needs C_k = I for every k not divisible by m.  For a group
+    family an element of prime order p | m breaks that at k = p (see the
+    ``recurrence`` module docstring); these are the first failing steps."""
+
+    @pytest.mark.parametrize("family", [single_ring_powers, tensor_powers])
+    @pytest.mark.parametrize("m", [9, 15])
+    def test_composite_families_first_fail_at_three(self, family, m):
+        assert first_failing_k(family(m), m) == 3
+
+    def test_element_of_order_three_survives_at_k3(self):
+        # U_{(3,0)} = X^3 on Z_9 has order 3: its entry of C_3 against the
+        # identity has unit modulus instead of zero
+        c3 = weylops.operator_gram(single_ring_powers(9)(3))
+        assert abs(c3[3 * 9, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 11, 13])
+    def test_prime_families_never_fail_before_m(self, m):
+        for family in (single_ring_powers, tensor_powers):
+            powers = family(m)
+            assert first_failing_k(powers, m) is None
+            c_m = weylops.operator_gram(powers(m))
+            np.testing.assert_allclose(np.abs(c_m), 1.0, rtol=0, atol=1e-12)

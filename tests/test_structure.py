@@ -1,16 +1,22 @@
 """Structured evaluation paths against their looped and dense references.
 
 The Wigner transforms (gather plus DFT), the Kronecker mask of the
-construction prediction and the block-diagonal continuous-time sweep are
-each compared with a literal implementation: the looped transforms and mask
-kept below, and the dense ``ContinuousEvolver`` on the full joint unitary.
+construction prediction, the block-diagonal continuous-time sweep and the
+vectorised Weyl-family builder are each compared with a literal
+implementation: the looped transforms, mask, single-operator Weyl builder
+and per-operator ancilla family kept below, and the dense
+``ContinuousEvolver`` on the full joint unitary.
 """
+
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from dephaselab import expander as ex
 from dephaselab import recurrence as rec
+from dephaselab import weylops
+from dephaselab.dephaser import classical_dephasing_channel
 from dephaselab.qcore import hermitize
 from dephaselab.sampling import random_density_matrix
 from dephaselab.tolerances import TOL
@@ -60,6 +66,32 @@ def looped_mask(spec: rec.RecurrenceSpec, keep: tuple[int, ...]) -> np.ndarray:
             mask[a, b] = float(all((r[j], s[j]) == (u[j], w[j])
                                    for j in range(len(spec.factors)) if j not in keep))
     return mask
+
+
+def single_weyl_op(m: int, r: int, s: int) -> np.ndarray:
+    """tau^{r s} X^r Z^s built one operator at a time; the phase exponent is
+    reduced with the exact product r*s before r and s are reduced mod m."""
+    omega = np.exp(2j * np.pi / m)
+    rm, sm = r % m, s % m
+    tau_exp = (r * s) % (2 * m)
+    phase = (-np.exp(1j * np.pi / m)) ** tau_exp
+    col = np.arange(m)
+    mat = np.zeros((m, m), dtype=complex)
+    mat[(col + rm) % m, col] = omega ** ((sm * col) % m)
+    return phase * mat
+
+
+def looped_ancilla_family(spec: rec.RecurrenceSpec, k: int) -> list[np.ndarray]:
+    """The k-th powers of the recurrence family, one Kronecker chain per
+    (r, s) label pair."""
+    labels = rec._mixed_radix_labels(spec.factors)
+    ops = []
+    for r in labels:
+        for s in labels:
+            parts = [single_weyl_op(p, k * r[j], k * s[j])
+                     for j, p in enumerate(spec.factors)]
+            ops.append(reduce(np.kron, parts))
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -144,3 +176,35 @@ class TestTimeSweepScaling:
         for m in primes:
             for k in range(1, m):
                 assert sweeps[m].distance_at(float(k)) <= TOL.integer_time_residual
+
+
+# ---------------------------------------------------------------------------
+# Weyl families
+# ---------------------------------------------------------------------------
+
+class TestWeylFamily:
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_equals_single_operator_builder(self, m):
+        r, s = np.divmod(np.arange(4 * m * m), 2 * m)
+        r, s = r - m, s - m          # labels in [-m, m), negatives included
+        for k in (0, 1, 2, 3, m, 2 * m + 1):
+            got = weylops.weyl_family(m, k * r, k * s)
+            for i in range(r.size):
+                want = single_weyl_op(m, k * int(r[i]), k * int(s[i]))
+                np.testing.assert_array_equal(got[i], want)
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 15, 21])
+    def test_ancilla_family_equals_loop(self, m):
+        spec = rec.RecurrenceSpec.for_ancilla(m)
+        for k in range(2 * m + 1):
+            np.testing.assert_array_equal(rec.ancilla_family(spec, k),
+                                          looped_ancilla_family(spec, k))
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_clock_powers_match_matrix_powers(self, d):
+        z = weylops.clock_z(d)
+        mixture = classical_dephasing_channel(d).mixture
+        assert len(mixture) == d
+        for j, power in enumerate(mixture, start=1):
+            np.testing.assert_allclose(power, np.linalg.matrix_power(z, j),
+                                       rtol=0, atol=1e-12)
