@@ -125,17 +125,22 @@ class NoisyChannel:
 def controlled_basis_unitary(basis_vectors: np.ndarray,
                              ancilla_ops: list[np.ndarray],
                              tol: Tolerances = TOL) -> np.ndarray:
-    """sum_i |a_i><a_i| (x) V_i for basis columns a_i and unitaries V_i."""
+    """sum_i |a_i><a_i| (x) V_i for basis columns a_i and unitaries V_i.
+
+    Row block r of the joint is sum_i B[r, i] conj(B[:, i]) V_i, one
+    (d x d) @ (d x m^2) product written in place.
+    """
     d = basis_vectors.shape[0]
     if len(ancilla_ops) != d:
         raise DimensionError("need one ancilla unitary per basis vector")
     m = ancilla_ops[0].shape[0]
     require_dim(d * m, tol)
-    u = np.zeros((d * m, d * m), dtype=complex)
-    for i in range(d):
-        proj = np.outer(basis_vectors[:, i], basis_vectors[:, i].conj())
-        u += np.kron(proj, ancilla_ops[i])
-    return u
+    ops = np.asarray(ancilla_ops, dtype=complex).reshape(d, m * m)
+    u = np.empty((d, m, d, m), dtype=complex)
+    for r in range(d):
+        block = (basis_vectors[r] * basis_vectors.conj()) @ ops
+        u[r] = block.reshape(d, m, m).transpose(1, 0, 2)
+    return u.reshape(d * m, d * m)
 
 
 def dephasing_ops(d: int) -> list[np.ndarray]:
@@ -413,64 +418,45 @@ def machine_iterate(rho: np.ndarray, sigma_stream: list[np.ndarray],
 # Decoherence and measurement with the smallest environment
 # ---------------------------------------------------------------------------
 
-def decoherence_unitary(d: int, basis: np.ndarray | None = None,
-                        tol: Tolerances = TOL) -> np.ndarray:
-    """Joint unitary on system x E1 x E2 for the purified environment picture.
-
-    The environment starts in a maximally entangled pair across E1/E2 (each
-    of dimension ceil(sqrt(d))); only E1 couples to the system.  Tracing out
-    the whole environment pinches any input state exactly.
-    """
-    m = ancilla_dim(d)
-    eye_m = np.eye(m, dtype=complex)
-    ops = [np.kron(op, eye_m) for op in weylops.weyl_basis(m).ops[:d]]
-    return controlled_basis_unitary(computational_or(basis, d), ops, tol)
-
-
-def entangled_pair_state(m: int) -> np.ndarray:
-    """Maximally entangled vector on two m-dimensional factors."""
-    v = np.eye(m, dtype=complex).ravel() / math.sqrt(m)
-    return v
-
-
-def decohere_pure_state(psi: np.ndarray, basis: np.ndarray | None = None,
-                        tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray]:
+def decohere_pure_state(psi: np.ndarray,
+                        basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run the purified decoherence process on a state vector.
+
+    The environment is a maximally entangled pair E1/E2 of local dimension
+    ceil(sqrt(d)); only E1 couples to the system, through the dephasing
+    coupling.  E2 never interacts and E1's half of the pair is I/m, so the
+    (system, E1) marginals are exactly those of ``couple`` on I/m: the
+    system is pinched exactly and E1 stays maximally mixed.
 
     Returns (reduced system state, reduced E1 state).
     """
     psi = np.asarray(psi, dtype=complex)
     d = psi.size
     m = ancilla_dim(d)
-    u = decoherence_unitary(d, basis, tol)
-    joint_vec = u @ np.kron(psi, entangled_pair_state(m))
-    joint = np.outer(joint_vec, joint_vec.conj())
-    layout = (d, m, m)
-    system = hermitize(partial_trace(joint, layout, [0]))
-    env_active = hermitize(partial_trace(joint, layout, [1]))
-    return system, env_active
+    basis = None if basis is None else computational_or(basis, d)
+    return couple(np.outer(psi, psi.conj()), np.eye(m, dtype=complex) / m,
+                  basis, dephasing_ops(d))
 
 
 def measurement_process(psi: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Projective measurement as a closed process on system x pointer.
 
-    The device is a d-dimensional pointer plus a maximally entangled pair
-    R1/R2 of local dimension ceil(sqrt(d)); the system-pointer output is
-    sum_i p_i |i, P_i><i, P_i| with Born weights p_i = |<i|psi>|^2 and
-    pointer states P_i = |i>.
+    The device is a d-dimensional pointer in |0> plus a maximally entangled
+    pair R1/R2 of local dimension ceil(sqrt(d)).  The gate
+    sum_i |i><i| (x) X^i (x) U_i (x) 1 moves the pointer to |i>, and R1's
+    half of the pair is I/m, so the system-pointer output is
+    sum_ij (rho * G)_ij |i, i><j, j| with rho * G the system marginal of
+    ``couple``: Born weights p_i = |<i|psi>|^2 on |i, i>, no coherence.
     """
     psi = np.asarray(psi, dtype=complex)
     d = psi.size
     if d < 2:
         raise PreconditionError("measurement needs dimension >= 2")
+    require_dim(d * d, tol)
     m = ancilla_dim(d)
-    shifts = weylops.weyl_family(d, np.arange(d), 0)
-    eye_m = np.eye(m, dtype=complex)
-    gates = [np.kron(np.kron(x_i, op), eye_m)
-             for x_i, op in zip(shifts, weylops.weyl_basis(m).ops[:d])]
-    w = controlled_basis_unitary(np.eye(d, dtype=complex), gates, tol)
-    pointer0 = np.zeros(d, dtype=complex)
-    pointer0[0] = 1.0
-    vec = w @ np.kron(np.kron(psi, pointer0), entangled_pair_state(m))
-    joint = np.outer(vec, vec.conj())
-    return hermitize(partial_trace(joint, (d, d, m, m), [0, 1]))
+    system = couple(np.outer(psi, psi.conj()), np.eye(m, dtype=complex) / m,
+                    None, dephasing_ops(d))[0]
+    pointer = np.arange(d) * (d + 1)    # |i, i> in the (S, P) layout
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[np.ix_(pointer, pointer)] = system
+    return out

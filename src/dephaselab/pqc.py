@@ -252,35 +252,15 @@ def error_from_syndrome(syn: Syndrome) -> PauliError:
     return PauliError(a=v0, b=v2, c=v1, d=(v3 + v0) % 2)
 
 
-@lru_cache(maxsize=1)
-def _residual_table() -> dict[tuple[int, int, int, int], tuple[int, int, int, int]]:
-    """Syndrome bits -> (z1, x1, z2, x2) of the Pauli left on the decoded
-    message, built once by exhaustive simulation of all 16 errors."""
-    key = PqcKey()
-    rng = np.random.default_rng(411)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    probe = np.outer(v, v.conj())
-    table: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
-    for bits in product(range(2), repeat=4):
-        err = PauliError(*bits)
-        msg, key_out = pqc_decode(apply_pauli_error(pqc_encode(probe, key), err), key)
-        syn = extract_syndrome(key_out)
-        for z1, x1, z2, x2 in product(range(2), repeat=4):
-            q = np.kron(_pauli(z1, x1), _pauli(z2, x2))
-            t = q @ v
-            if abs(np.real(np.vdot(t, msg @ t)) - 1.0) < 1e-9:
-                table[syn.bits] = (z1, x1, z2, x2)
-                break
-        else:
-            raise IntegrityError("decoded probe is not Pauli-related to the input")
-    return table
-
-
 def correction_operator(syn: Syndrome) -> np.ndarray:
-    """Pauli that restores the decoded message for the identified error."""
-    z1, x1, z2, x2 = _residual_table()[syn.bits]
-    return np.kron(_pauli(z1, x1), _pauli(z2, x2)).conj().T
+    """Pauli that restores the decoded message for the identified error.
+
+    Decoding turns the error (a, b, c, d) into Z^(b xor c) X^(a xor d) on
+    message qubit 1 and Z^a X^b on qubit 2: the Hadamard-basis layer moves
+    qubit 2's components onto qubit 1.
+    """
+    a, b, c, d = error_from_syndrome(syn).as_tuple()
+    return np.kron(_pauli(b ^ c, a ^ d), _pauli(a, b)).conj().T
 
 
 # ---------------------------------------------------------------------------
