@@ -36,6 +36,13 @@ class CheckFailure(Exception):
     """A verification inequality did not hold."""
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -73,33 +80,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file with tolerance overrides")
 
     p = sub.add_parser("dephase", help="exact quantum dephasing residuals")
-    p.add_argument("--d", type=int, default=9)
+    p.add_argument("--d", type=_positive_int, default=9)
     p.add_argument("--trials", type=_non_negative_int, default=50)
     common(p)
 
     p = sub.add_parser("classical-dephase", help="clock-mixture dephasing and rank witness")
-    p.add_argument("--d", type=int, default=9)
+    p.add_argument("--d", type=_positive_int, default=9)
     p.add_argument("--trials", type=_non_negative_int, default=50)
     common(p)
 
     p = sub.add_parser("transition", help="random majorizing state transitions")
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--d", type=_positive_int, default=4)
     p.add_argument("--trials", type=_non_negative_int, default=100)
     p.add_argument("--mode", choices=["quantum", "classical", "both"], default="both")
     common(p)
 
     p = sub.add_parser("chain", help="dephase several systems with one catalyst")
     p.add_argument("--n", type=_non_negative_int, default=3, help="number of systems")
-    p.add_argument("--d", type=int, default=2, help="dimension per system")
+    p.add_argument("--d", type=_positive_int, default=2, help="dimension per system")
     common(p)
 
     p = sub.add_parser("machine", help="iterated dephasing with imperfect fuel")
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--d", type=_positive_int, default=4)
     p.add_argument("--iters", type=int, default=20)
     common(p)
 
     p = sub.add_parser("recur", help="stroboscopic maps of the recurrence coupling")
-    p.add_argument("--m", type=int, default=3, help="odd ancilla dimension")
+    p.add_argument("--m", type=_positive_int, default=3, help="odd ancilla dimension")
     p.add_argument("--kmax", type=_non_negative_int, default=None, help="default 2m")
     common(p)
 
@@ -115,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("expander", help="phase-space walk convergence")
-    p.add_argument("--e", type=int, default=3, help="odd lattice size")
+    p.add_argument("--e", type=_positive_int, default=3, help="odd lattice size")
     p.add_argument("--k", type=int, default=20)
     common(p)
 
     p = sub.add_parser("bounds", help="noise-dimension lower bounds")
-    p.add_argument("--d", type=int, default=9)
+    p.add_argument("--d", type=_positive_int, default=9)
     p.add_argument("--epsilon", type=float, default=0.0)
     common(p)
 

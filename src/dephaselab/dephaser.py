@@ -18,8 +18,10 @@ contracts toward the pinched state at rate ||sigma - I/m||_1, and never
 decreases entropy.
 
 ``couple`` evaluates both marginals of the coupling from a Gram matrix of the
-ancilla family; ``controlled_basis_unitary`` builds the dense joint unitary,
-the reference the kernel is tested against.
+ancilla family; the machine, decoherence and measurement go through it.
+``controlled_basis_unitary`` builds the dense joint unitary by row blocks
+where a joint state is the checked quantity: the ``NoisyChannel`` dilation,
+the catalytic chain, the recurrence unitary and the private-channel layers.
 """
 
 from __future__ import annotations
@@ -445,17 +447,15 @@ def measurement_process(psi: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     pair R1/R2 of local dimension ceil(sqrt(d)).  The gate
     sum_i |i><i| (x) X^i (x) U_i (x) 1 moves the pointer to |i>, and R1's
     half of the pair is I/m, so the system-pointer output is
-    sum_ij (rho * G)_ij |i, i><j, j| with rho * G the system marginal of
-    ``couple``: Born weights p_i = |<i|psi>|^2 on |i, i>, no coherence.
+    sum_ij (rho * G)_ij |i, i><j, j| with rho * G the decohered system of
+    ``decohere_pure_state``: Born weights p_i = |<i|psi>|^2 on |i, i>.
     """
     psi = np.asarray(psi, dtype=complex)
     d = psi.size
     if d < 2:
         raise PreconditionError("measurement needs dimension >= 2")
     require_dim(d * d, tol)
-    m = ancilla_dim(d)
-    system = couple(np.outer(psi, psi.conj()), np.eye(m, dtype=complex) / m,
-                    None, dephasing_ops(d))[0]
+    system = decohere_pure_state(psi)[0]
     pointer = np.arange(d) * (d + 1)    # |i, i> in the (S, P) layout
     out = np.zeros((d * d, d * d), dtype=complex)
     out[np.ix_(pointer, pointer)] = system

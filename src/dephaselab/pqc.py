@@ -14,8 +14,11 @@ ready for reuse.
 
 A Pauli error on the ciphertext is imprinted one-to-one onto the final
 Bell-pair combination, so Bob and Alice can identify it (consuming fresh
-ebits to discriminate Bell states), correct the message, and cheaply
-authenticate a no-error transmission through random parity checks.
+ebits to discriminate Bell states), correct the message with a closed-form
+Pauli, and cheaply authenticate a no-error transmission through random
+parity checks.  The coupling layers stay dense joint unitaries: Bob's
+decoding acts on the whole (small) joint state, which the syndrome is read
+from.
 
 Register layout used throughout: (S, E, A1, B1, A2, B2) where S is the
 4-dimensional message block and E an optional eavesdropper extension.

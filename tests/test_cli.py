@@ -1,9 +1,15 @@
 """Command-line harness: outputs, determinism, exit codes, config files."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dephaselab.cli import main
 
@@ -198,6 +204,11 @@ class TestExitCodes:
         (["fig3", "--samples", "-1"], "--samples"),
         (["fig3", "--m", ""], "--m"),
         (["recur", "--kmax", "-3"], "--kmax"),
+        (["machine", "--d", "0"], "--d"),
+        (["chain", "--d", "0"], "--d"),
+        (["machine", "--d", "-1"], "--d"),
+        (["chain", "--d", "-2"], "--d"),
+        (["transition", "--d", "0", "--trials", "1"], "--d"),
     ])
     def test_negative_or_empty_counts_are_usage_errors(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -265,3 +276,69 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"m": [3], "samples": 4, "out": str(prefix)}))
         assert main(["--config", str(cfg), "fig3", "--deterministic"]) == 0
         assert Path(f"{prefix}_m3.csv").exists()
+
+
+DIMS = st.integers(-2, 16)
+COUNTS = st.integers(-1, 3)
+
+#: Per command, the flags the contract test draws and their values; chain
+#: stays at n <= 3 and d <= 4, so no draw starts a multi-second dense joint.
+CONTRACT_FLAGS = {
+    "dephase": {"d": DIMS, "trials": COUNTS},
+    "classical-dephase": {"d": DIMS, "trials": COUNTS},
+    "transition": {"d": DIMS, "trials": COUNTS,
+                   "mode": st.sampled_from(["quantum", "classical", "both"])},
+    "chain": {"n": COUNTS, "d": st.integers(-2, 4)},
+    "machine": {"d": DIMS, "iters": COUNTS},
+    "recur": {"m": DIMS, "kmax": COUNTS},
+    "fig3": {"m": DIMS, "samples": COUNTS},
+    "pqc": {"rounds": COUNTS, "error": st.sampled_from(["0000", "0100", "1011", "1111"])},
+    "expander": {"e": DIMS, "k": COUNTS},
+    "bounds": {"d": DIMS, "epsilon": st.sampled_from(
+        [math.nan, math.inf, -0.1, 0.0, 0.05, 0.5, 2.5])},
+}
+
+
+@st.composite
+def cli_call(draw):
+    """(command, {flag: value}, {flag: value}): each flag is left at its
+    default, given on the command line or set through ``--config``.  fig3
+    always gets one m, so a run writes exactly one file."""
+    command = draw(st.sampled_from(sorted(CONTRACT_FLAGS)))
+    flags, config = {}, {}
+    for flag, values in CONTRACT_FLAGS[command].items():
+        places = ["argv", "config"]
+        if (command, flag) != ("fig3", "m"):
+            places.append("default")
+        place = draw(st.sampled_from(places))
+        if place != "default":
+            (flags if place == "argv" else config)[flag] = draw(values)
+    return command, flags, config
+
+
+class TestInputContract:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(cli_call())
+    def test_every_input_runs_or_is_refused(self, call):
+        command, flags, config = call
+        composite_fig3 = command == "fig3" and {**flags, **config}["m"] in (9, 15)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "out")
+            out.mkdir()
+            argv = [command]
+            for flag, value in flags.items():
+                argv += [f"--{flag}", str(value)]
+            if config:
+                cfg = Path(tmp, "cfg.json")
+                cfg.write_text(json.dumps(config))
+                argv = ["--config", str(cfg)] + argv
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv + ["--out", str(out / "o"), "--deterministic"])
+                except SystemExit as exc:
+                    code = exc.code
+            written = list(out.iterdir())
+        assert code in ((1, 2) if composite_fig3 else (0, 2)), (argv, config, code)
+        assert "Traceback" not in stderr.getvalue()
+        assert len(written) == (1 if code == 0 else 0), (argv, config, written)

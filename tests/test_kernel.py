@@ -15,6 +15,7 @@ from dephaselab.dephaser import (
     controlled_basis_unitary,
     couple,
     dephasing_ops,
+    measurement_process,
     pinch,
 )
 from dephaselab.qcore import (
@@ -109,6 +110,28 @@ class TestCapBeforeAllocation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_measurement_refused_without_allocating(self):
+        psi = np.full(65, 65 ** -0.5, dtype=complex)   # output dimension 65^2 > cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                measurement_process(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_builder_allocates_little_beyond_the_joint(self):
+        d = 64
+        basis, ops = np.eye(d, dtype=complex), dephasing_ops(d)
+        tracemalloc.start()
+        try:
+            u = controlled_basis_unitary(basis, ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * u.nbytes
 
 
 @st.composite

@@ -1,24 +1,36 @@
 """Structured evaluation paths against their looped and dense references.
 
 The Wigner transforms (gather plus DFT), the Kronecker mask of the
-construction prediction, the block-diagonal continuous-time sweep and the
-vectorised Weyl-family builder are each compared with a literal
-implementation: the looped transforms, mask, single-operator Weyl builder
-and per-operator ancilla family kept below, and the dense
-``ContinuousEvolver`` on the full joint unitary.
+construction prediction, the block-diagonal continuous-time sweep, the
+vectorised Weyl-family builder, the row-block dense coupling and the
+closed-form decoherence, measurement and private-channel correction are
+each compared with a literal implementation: the looped transforms, mask,
+single-operator Weyl builder, per-operator ancilla family, Kronecker-sum
+coupling, simulated purified processes and simulated correction table kept
+below, and the dense ``ContinuousEvolver`` on the full joint unitary.
 """
 
+import math
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
 
 from dephaselab import expander as ex
+from dephaselab import pqc
 from dephaselab import recurrence as rec
 from dephaselab import weylops
-from dephaselab.dephaser import classical_dephasing_channel
-from dephaselab.qcore import hermitize
-from dephaselab.sampling import random_density_matrix
+from dephaselab.dephaser import (
+    ancilla_dim,
+    classical_dephasing_channel,
+    controlled_basis_unitary,
+    decohere_pure_state,
+    dephasing_ops,
+    measurement_process,
+)
+from dephaselab.qcore import hermitize, partial_trace
+from dephaselab.sampling import haar_unitary, random_density_matrix
 from dephaselab.tolerances import TOL
 
 ODD_DIMS = [3, 5, 7, 9, 15, 25, 49, 81]
@@ -92,6 +104,72 @@ def looped_ancilla_family(spec: rec.RecurrenceSpec, k: int) -> list[np.ndarray]:
                      for j, p in enumerate(spec.factors)]
             ops.append(reduce(np.kron, parts))
     return ops
+
+
+def looped_controlled_basis_unitary(basis_vectors: np.ndarray,
+                                    ancilla_ops: list[np.ndarray]) -> np.ndarray:
+    """sum_i |a_i><a_i| (x) V_i as a sum of d full-size Kronecker products."""
+    d, m = basis_vectors.shape[0], ancilla_ops[0].shape[0]
+    u = np.zeros((d * m, d * m), dtype=complex)
+    for i in range(d):
+        proj = np.outer(basis_vectors[:, i], basis_vectors[:, i].conj())
+        u += np.kron(proj, ancilla_ops[i])
+    return u
+
+
+def entangled_pair_state(m: int) -> np.ndarray:
+    """Maximally entangled vector on two m-dimensional factors."""
+    return np.eye(m, dtype=complex).ravel() / math.sqrt(m)
+
+
+def dense_decohere_pure_state(psi: np.ndarray, basis: np.ndarray | None = None):
+    """(system, E1) marginals of the purified process on system x E1 x E2,
+    simulated on the joint vector; only E1 couples, through U_i (x) 1."""
+    d = psi.size
+    m = ancilla_dim(d)
+    b = np.eye(d, dtype=complex) if basis is None else basis
+    eye_m = np.eye(m, dtype=complex)
+    ops = [np.kron(op, eye_m) for op in weylops.weyl_basis(m).ops[:d]]
+    vec = looped_controlled_basis_unitary(b, ops) @ np.kron(psi, entangled_pair_state(m))
+    joint = np.outer(vec, vec.conj())
+    return (hermitize(partial_trace(joint, (d, m, m), [0])),
+            hermitize(partial_trace(joint, (d, m, m), [1])))
+
+
+def dense_measurement_process(psi: np.ndarray) -> np.ndarray:
+    """(S, P) marginal of sum_i |i><i| (x) X^i (x) U_i (x) 1 on
+    psi (x) |0> (x) the entangled pair, simulated on the joint vector."""
+    d = psi.size
+    m = ancilla_dim(d)
+    shifts = weylops.weyl_family(d, np.arange(d), 0)
+    eye_m = np.eye(m, dtype=complex)
+    gates = [np.kron(np.kron(x_i, op), eye_m)
+             for x_i, op in zip(shifts, weylops.weyl_basis(m).ops[:d])]
+    w = looped_controlled_basis_unitary(np.eye(d, dtype=complex), gates)
+    pointer0 = np.zeros(d, dtype=complex)
+    pointer0[0] = 1.0
+    vec = w @ np.kron(np.kron(psi, pointer0), entangled_pair_state(m))
+    return hermitize(partial_trace(np.outer(vec, vec.conj()), (d, d, m, m), [0, 1]))
+
+
+def simulated_residual_table() -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Syndrome bits -> (z1, x1, z2, x2) of the Pauli left on the decoded
+    message, found by running the protocol on a probe for all 16 errors."""
+    rng = np.random.default_rng(411)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    probe = np.outer(v, v.conj())
+    table = {}
+    for bits in product(range(2), repeat=4):
+        encoded = pqc.pqc_encode(probe)
+        msg, key_out = pqc.pqc_decode(pqc.apply_pauli_error(encoded, pqc.PauliError(*bits)))
+        syn = pqc.extract_syndrome(key_out)
+        for z1, x1, z2, x2 in product(range(2), repeat=4):
+            t = np.kron(pqc._pauli(z1, x1), pqc._pauli(z2, x2)) @ v
+            if abs(np.real(np.vdot(t, msg @ t)) - 1.0) < 1e-9:
+                table[syn.bits] = (z1, x1, z2, x2)
+                break
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +286,64 @@ class TestWeylFamily:
         for j, power in enumerate(mixture, start=1):
             np.testing.assert_allclose(power, np.linalg.matrix_power(z, j),
                                        rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Dense coupling builder
+# ---------------------------------------------------------------------------
+
+def pauli_layer_ops(conjugate: bool) -> list[np.ndarray]:
+    ops = [np.linalg.matrix_power(pqc._X, i1) @ np.linalg.matrix_power(pqc._Z, i2)
+           for i1, i2 in product(range(2), repeat=2)]
+    return [op.conj() for op in ops] if conjugate else ops
+
+
+class TestRowBlockBuilder:
+    @pytest.mark.parametrize("d", list(range(2, 17)) + [64])
+    def test_identity_basis_equals_loop(self, d):
+        basis, ops = np.eye(d, dtype=complex), dephasing_ops(d)
+        np.testing.assert_array_equal(controlled_basis_unitary(basis, ops),
+                                      looped_controlled_basis_unitary(basis, ops))
+
+    @pytest.mark.parametrize("ops", [pauli_layer_ops(False), pauli_layer_ops(True),
+                                     dephasing_ops(4)])
+    def test_hadamard_basis_equals_loop(self, ops):
+        basis = np.kron(pqc._H, pqc._H)
+        np.testing.assert_array_equal(controlled_basis_unitary(basis, ops),
+                                      looped_controlled_basis_unitary(basis, ops))
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_haar_basis_matches_loop(self, d, rng):
+        basis = haar_unitary(d, rng)
+        ops = [haar_unitary(ancilla_dim(d), rng) for _ in range(d)]
+        np.testing.assert_allclose(controlled_basis_unitary(basis, ops),
+                                   looped_controlled_basis_unitary(basis, ops),
+                                   rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Decoherence, measurement and the private-channel correction
+# ---------------------------------------------------------------------------
+
+class TestClosedFormProcesses:
+    @pytest.mark.parametrize("haar", [False, True])
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_decoherence_matches_purified_simulation(self, d, haar, rng):
+        psi = haar_unitary(d, rng)[:, 0]
+        basis = haar_unitary(d, rng) if haar else None
+        got, want = decohere_pure_state(psi, basis), dense_decohere_pure_state(psi, basis)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_measurement_matches_purified_simulation(self, d, rng):
+        psi = haar_unitary(d, rng)[:, 0]
+        np.testing.assert_allclose(measurement_process(psi),
+                                   dense_measurement_process(psi), rtol=0, atol=1e-12)
+
+    def test_correction_equals_simulated_table(self):
+        table = simulated_residual_table()
+        assert len(table) == 16
+        for bits, (z1, x1, z2, x2) in table.items():
+            want = np.kron(pqc._pauli(z1, x1), pqc._pauli(z2, x2)).conj().T
+            np.testing.assert_array_equal(pqc.correction_operator(pqc.Syndrome(bits)), want)
