@@ -196,7 +196,7 @@ def cmd_dephase(args, tol: Tolerances) -> None:
 
 def cmd_classical_dephase(args, tol: Tolerances) -> None:
     d = args.d
-    channel = dephaser.classical_dephasing_channel(d, tol)
+    channel = dephaser.gram_channel(d, "classical", tol)
     rows = []
     for trial, rng in enumerate(spawn_rngs(args.seed, args.trials)):
         rho = random_density_matrix(d, rng)
@@ -205,8 +205,7 @@ def cmd_classical_dephase(args, tol: Tolerances) -> None:
         if res > tol.dephasing_residual:
             raise CheckFailure(f"residual above tolerance at trial {trial}")
     # rank witness: a mixture one unitary short cannot reach full rank
-    truncated = dephaser.NoisyChannel(kind="classical-mixture", dim=d,
-                                      mixture=channel.mixture[:-1])
+    truncated = dephaser.gram_channel(d, "classical", tol, count=d - 1)
     rank, m_trunc = bounds_mod.rank_witness(truncated, tol)
     if rank > m_trunc:
         raise CheckFailure("rank witness exceeded the mixture size")
@@ -219,11 +218,13 @@ def cmd_classical_dephase(args, tol: Tolerances) -> None:
 def cmd_transition(args, tol: Tolerances) -> None:
     from .sampling import random_majorizing_pair
     modes = ["quantum", "classical"] if args.mode == "both" else [args.mode]
+    channels = {mode: dephaser.gram_channel(args.d, mode, tol) for mode in modes}
     rows = []
     for trial, rng in enumerate(spawn_rngs(args.seed, args.trials)):
         rho, rho_prime = random_majorizing_pair(args.d, rng)
-        for mode in modes:
-            plan = dephaser.transition_channel(rho, rho_prime, mode, tol)
+        pre, post = dephaser.transition_rotations(rho, rho_prime, tol)
+        for mode, channel in channels.items():
+            plan = dephaser.TransitionPlan(pre, channel, post)
             err = trace_norm(plan.apply(rho) - rho_prime)
             rows.append(f"{args.d},{trial},{mode},{plan.noise_dim},{err:.16e}")
             if err > tol.transition_residual:

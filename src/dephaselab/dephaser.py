@@ -19,9 +19,16 @@ decreases entropy.
 
 ``couple`` evaluates both marginals of the coupling from a Gram matrix of the
 ancilla family; the machine, decoherence and measurement go through it.
+State transitions and classical dephasing use ``GramChannel``: every noisy
+pinch here is a mixture of operators diagonal in the pinching basis, so it
+acts as rho -> rho * G (entrywise) with G = Theta diag(p) Theta†, Theta_aj
+the eigenvalue of the j-th operator on |a>.  Its largest array is d x d, so
+the dimension cap applies to d itself.
 ``controlled_basis_unitary`` builds the dense joint unitary by row blocks
 where a joint state is the checked quantity: the ``NoisyChannel`` dilation,
 the catalytic chain, the recurrence unitary and the private-channel layers.
+``NoisyChannel`` itself (``build_dephasing_unitary`` and
+``classical_dephasing_channel``) stays as the dense reference.
 """
 
 from __future__ import annotations
@@ -124,6 +131,63 @@ class NoisyChannel:
         return hermitize(out / len(self.mixture))
 
 
+@dataclass(frozen=True)
+class GramChannel:
+    """A pinch in the computational basis evaluated as rho -> rho * G.
+
+    ``gram`` is the d x d matrix G = Theta diag(p) Theta† of a mixture of
+    operators diagonal in that basis; ``noise_dim`` is the dimension of the
+    source of randomness the mixture consumes.  ``kind`` names the
+    presentation it stands for, as in ``NoisyChannel``.
+    """
+
+    kind: str  # "quantum-dilation" | "classical-mixture"
+    gram: np.ndarray = field(repr=False)
+    noise_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.gram.shape[0]
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        rho = as_operator(rho)
+        if rho.shape[0] != self.dim:
+            raise DimensionError("state dimension does not match the channel")
+        return hermitize(rho * self.gram)
+
+
+def gram_channel(d: int, mode: str = "quantum", tol: Tolerances = TOL,
+                 count: int | None = None) -> GramChannel:
+    """The pinching channel of ``mode`` on dimension d as a Gram product.
+
+    quantum: G is the Gram of the first d Weyl operators on an ancilla of
+    dimension ceil(sqrt(d)) over I/m (the ``build_dephasing_unitary``
+    dilation).  classical: the uniform mixture of the clock powers Z^j,
+    j = 1..count (default d, the ``classical_dephasing_channel`` mixture),
+    so G = Theta Theta† / count with Theta_aj = w^(a j).  Fewer than d
+    powers give G = (d I - J)/(d - 1) at count = d - 1, of rank d - 1.
+    """
+    require_dim(d, tol)    # before any array is built
+    if mode not in ("quantum", "classical"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if d < 2:
+        raise PreconditionError("dephasing needs system dimension >= 2")
+    if mode == "quantum":
+        channel = GramChannel(kind="quantum-dilation", noise_dim=ancilla_dim(d),
+                              gram=weylops.operator_gram(dephasing_ops(d)))
+    else:
+        count = d if count is None else count
+        if count < 1:
+            raise PreconditionError("mixture channel needs at least one unitary")
+        theta = weylops.clock_phases(d, np.arange(1, count + 1))    # (count, d)
+        channel = GramChannel(kind="classical-mixture", noise_dim=count,
+                              gram=theta.T @ theta.conj() / count)
+    # apply(I/d) - I/d = diag(G_aa - 1)/d, so its trace norm needs no eigensolver
+    if np.sum(np.abs(np.diagonal(channel.gram).real - 1.0)) / d > tol.dephasing_residual:
+        raise PreconditionError("channel is not unital within tolerance")
+    return channel
+
+
 def controlled_basis_unitary(basis_vectors: np.ndarray,
                              ancilla_ops: list[np.ndarray],
                              tol: Tolerances = TOL) -> np.ndarray:
@@ -223,7 +287,7 @@ class TransitionPlan:
     """pre-unitary, dephasing channel, post-unitary realizing rho -> rho'."""
 
     pre_unitary: np.ndarray
-    channel: NoisyChannel
+    channel: GramChannel | NoisyChannel
     post_unitary: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -242,31 +306,38 @@ def _eigh_descending(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[order], evecs[:, order]
 
 
+def transition_rotations(rho: np.ndarray, rho_prime: np.ndarray,
+                         tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(pre, post) unitaries such that post . pinch(pre rho pre†) . post† = rho'.
+
+    Requires the spectrum of rho to majorize that of rho'.  ``pre`` rotates
+    rho to its eigenbasis and spreads the target spectrum onto the diagonal
+    (Schur-Horn); ``post`` maps the diagonal onto the eigenbasis of rho'.
+    Neither depends on how the pinch is implemented.
+    """
+    rho = check_density_matrix(rho, tol)
+    rho_prime = check_density_matrix(rho_prime, tol)
+    if rho.shape != rho_prime.shape:
+        raise DimensionError("states must share one dimension")
+    lam, w = _eigh_descending(rho)
+    mu, w_prime = _eigh_descending(rho_prime)
+    if not majorizes_spectra(lam, mu, tol):
+        raise PreconditionError("transition requires the source to majorize the target")
+    v = schur_horn_unitary(lam, mu, tol)
+    return v @ w.conj().T, w_prime
+
+
 def transition_channel(rho: np.ndarray, rho_prime: np.ndarray,
                        mode: str = "quantum", tol: Tolerances = TOL) -> TransitionPlan:
     """Compose rotate -> pinch -> rotate so the map sends rho to rho'.
 
     Requires the spectrum of rho to majorize that of rho'.  The pinching
     stage is the quantum construction (noise dimension ceil(sqrt(d))) or the
-    classical clock mixture (noise dimension d).
+    classical clock mixture (noise dimension d), as a ``gram_channel``.
     """
-    rho = check_density_matrix(rho, tol)
-    rho_prime = check_density_matrix(rho_prime, tol)
-    if rho.shape != rho_prime.shape:
-        raise DimensionError("states must share one dimension")
-    if mode not in ("quantum", "classical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    d = rho.shape[0]
     # built first, so the dimension cap is checked before the Schur-Horn step
-    channel = (build_dephasing_unitary(d, tol=tol) if mode == "quantum"
-               else classical_dephasing_channel(d, tol))
-    lam, w = _eigh_descending(rho)
-    mu, w_prime = _eigh_descending(rho_prime)
-    if not majorizes_spectra(lam, mu, tol):
-        raise PreconditionError("transition requires the source to majorize the target")
-    v = schur_horn_unitary(lam, mu, tol)
-    pre = v @ w.conj().T          # rotate to eigenbasis, then spread the target diagonal
-    post = w_prime                # diagonal -> eigenbasis of the target
+    channel = gram_channel(as_operator(rho).shape[0], mode, tol)
+    pre, post = transition_rotations(rho, rho_prime, tol)
     return TransitionPlan(pre_unitary=pre, channel=channel, post_unitary=post)
 
 
@@ -420,8 +491,8 @@ def machine_iterate(rho: np.ndarray, sigma_stream: list[np.ndarray],
 # Decoherence and measurement with the smallest environment
 # ---------------------------------------------------------------------------
 
-def decohere_pure_state(psi: np.ndarray,
-                        basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def decohere_pure_state(psi: np.ndarray, basis: np.ndarray | None = None,
+                        tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray]:
     """Run the purified decoherence process on a state vector.
 
     The environment is a maximally entangled pair E1/E2 of local dimension
@@ -430,9 +501,12 @@ def decohere_pure_state(psi: np.ndarray,
     (system, E1) marginals are exactly those of ``couple`` on I/m: the
     system is pinched exactly and E1 stays maximally mixed.
 
-    Returns (reduced system state, reduced E1 state).
+    Returns (reduced system state, reduced E1 state).  ``psi`` must have
+    unit norm within ``tol.trace_one``.
     """
     psi = np.asarray(psi, dtype=complex)
+    if abs(np.linalg.norm(psi) - 1.0) > tol.trace_one:
+        raise PreconditionError("state vector must have unit norm")
     d = psi.size
     m = ancilla_dim(d)
     basis = None if basis is None else computational_or(basis, d)
@@ -455,7 +529,7 @@ def measurement_process(psi: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     if d < 2:
         raise PreconditionError("measurement needs dimension >= 2")
     require_dim(d * d, tol)
-    system = decohere_pure_state(psi)[0]
+    system = decohere_pure_state(psi, tol=tol)[0]
     pointer = np.arange(d) * (d + 1)    # |i, i> in the (S, P) layout
     out = np.zeros((d * d, d * d), dtype=complex)
     out[np.ix_(pointer, pointer)] = system

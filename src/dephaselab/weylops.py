@@ -9,7 +9,9 @@ Conventions, fixed once for the whole library:
   ``tau = -exp(i pi / m)`` for label arrays r, s; it is the only builder, and
   ``shift_x``, ``clock_z``, ``weyl_op`` and ``weyl_basis`` are its members.
   For odd ``m`` the phase has order ``m`` and the family is periodic in both
-  indices; for even ``m`` the phase has order ``2 m``.
+  indices; for even ``m`` the phase has order ``2 m``.  Its nonzero entries
+  are ``clock_phases(m, s)``, which the Gram form of the clock mixture reads
+  without building the operators.
 * Phase-space displacements reuse the same phase system,
   ``w(p, q) = tau^{pq} Z^p X^q = w^{pq} weyl_op(d, q, p)``, restricted to odd
   ``d`` where the parity operator construction applies.
@@ -37,13 +39,22 @@ def weyl_family(m: int, r, s) -> np.ndarray:
         raise PreconditionError("Weyl operators need dimension >= 2")
     r, s = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=np.int64)),
                                np.asarray(s, dtype=np.int64))
-    omega = np.exp(2j * np.pi / m)
     phase = (-np.exp(1j * np.pi / m)) ** ((r * s) % (2 * m))
     col = np.arange(m)
     ops = np.zeros((r.size, m, m), dtype=complex)
-    ops[np.arange(r.size)[:, None], (col + r[:, None] % m) % m, col] = (
-        omega ** ((s[:, None] % m * col) % m))
+    ops[np.arange(r.size)[:, None], (col + r[:, None] % m) % m, col] = clock_phases(m, s)
     return np.multiply(phase[:, None, None], ops, out=ops)
+
+
+def clock_phases(m: int, s) -> np.ndarray:
+    """The (n, m) array whose row k is the diagonal of Z^{s_k}, w^(s_k j).
+
+    These are the nonzero entries ``weyl_family`` places, before its tau
+    phase, for an integer label array s.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=np.int64))
+    omega = np.exp(2j * np.pi / m)
+    return omega ** ((s[:, None] % m * np.arange(m)) % m)
 
 
 def shift_x(d: int) -> np.ndarray:

@@ -108,6 +108,14 @@ class TestSizes:
                      "--out", str(prefix), "--deterministic"]) == 0
         assert len(payload_lines(Path(f"{prefix}_m17.csv"))) > 17
 
+    @pytest.mark.parametrize("command", ["transition", "classical-dephase"])
+    def test_gram_channel_commands_above_the_old_joint_cap(self, command, tmp_path):
+        # d * ceil(sqrt(d)) = 300 * 18 exceeds dim_cap; the pinch is d x d
+        out = tmp_path / "o.csv"
+        assert main([command, "--d", "300", "--trials", "1",
+                     "--out", str(out), "--deterministic"]) == 0
+        assert len(payload_lines(out)) == (3 if command == "transition" else 2)
+
     def test_expander_at_e15(self, tmp_path):
         out = tmp_path / "expander.csv"
         assert main(["expander", "--e", "15", "--k", "30",
@@ -184,12 +192,12 @@ class TestExitCodes:
         (["recur", "--m", "4"], "recurrence construction requires odd m >= 3"),
         (["machine", "--iters", "0"], "need at least one fuel state"),
         (["expander", "--e", "4"], "lattice size must be odd and >= 3"),
-        (["transition", "--d", "1024", "--trials", "1"],
-         "joint dimension 32768 exceeds the configured cap 4096"),
-        (["classical-dephase", "--d", "1024", "--trials", "1"],
-         "joint dimension 32768 exceeds the configured cap 4096"),
-        (["transition", "--d", "1024", "--trials", "1", "--mode", "classical"],
-         "joint dimension 32768 exceeds the configured cap 4096"),
+        (["transition", "--d", "4097", "--trials", "1"],
+         "joint dimension 4097 exceeds the configured cap 4096"),
+        (["classical-dephase", "--d", "4097", "--trials", "1"],
+         "joint dimension 4097 exceeds the configured cap 4096"),
+        (["transition", "--d", "4097", "--trials", "1", "--mode", "classical"],
+         "joint dimension 4097 exceeds the configured cap 4096"),
     ])
     def test_precondition_and_cap_errors_are_two(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2

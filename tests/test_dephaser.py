@@ -334,6 +334,12 @@ class TestDecoherenceAndMeasurement:
         system, _ = decohere_pure_state(v)
         np.testing.assert_allclose(system, np.outer(v, v.conj()), atol=1e-12)
 
+    def test_unnormalised_vector_rejected(self):
+        with pytest.raises(PreconditionError):
+            decohere_pure_state(np.ones(4))
+        with pytest.raises(PreconditionError):
+            measurement_process(np.ones(3))
+
     def test_measurement_deterministic_pointer(self):
         d = 3
         v = np.zeros(d, dtype=complex)

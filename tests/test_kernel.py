@@ -1,5 +1,6 @@
-"""The Gram-form coupling kernel against the dense controlled unitary, and
-its structural invariants as property tests."""
+"""The Gram-form coupling kernel and pinching channel against the dense
+controlled unitary and ``NoisyChannel``, and their structural invariants as
+property tests."""
 
 import tracemalloc
 
@@ -8,15 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephaselab.bounds import rank_witness
 from dephaselab.dephaser import (
+    TransitionPlan,
     ancilla_dim,
     build_dephasing_unitary,
     classical_dephasing_channel,
     controlled_basis_unitary,
     couple,
     dephasing_ops,
+    gram_channel,
     measurement_process,
     pinch,
+    transition_channel,
 )
 from dephaselab.qcore import (
     PreconditionError,
@@ -26,7 +31,12 @@ from dephaselab.qcore import (
     trace_norm,
     von_neumann_entropy,
 )
-from dephaselab.sampling import haar_unitary, random_density_matrix, random_pure_state
+from dephaselab.sampling import (
+    haar_unitary,
+    random_density_matrix,
+    random_majorizing_pair,
+    random_pure_state,
+)
 from dephaselab.tolerances import TOL
 from dephaselab.weylops import operator_gram
 
@@ -90,6 +100,46 @@ class TestOperatorGram:
         assert np.max(np.abs(gram - np.eye(16))) <= 1e-12
 
 
+DENSE_CHANNELS = {"quantum": build_dephasing_unitary,
+                  "classical": classical_dephasing_channel}
+
+
+class TestGramChannel:
+    @pytest.mark.parametrize("mode", sorted(DENSE_CHANNELS))
+    @pytest.mark.parametrize("d", list(range(2, 17)) + [64])
+    def test_equals_dense_channel(self, d, mode, rng):
+        gram, dense = gram_channel(d, mode), DENSE_CHANNELS[mode](d)
+        assert (gram.kind, gram.dim, gram.noise_dim) == (dense.kind, dense.dim, dense.noise_dim)
+        for _ in range(3):
+            rho = random_density_matrix(d, rng)
+            np.testing.assert_allclose(gram.apply(rho), dense.apply(rho), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", list(range(2, 17)) + [64, 256])
+    def test_truncated_clock_mixture_has_rank_d_minus_one(self, d):
+        channel = gram_channel(d, "classical", count=d - 1)
+        want = (d * np.eye(d) - np.ones((d, d))) / (d - 1)
+        np.testing.assert_allclose(channel.gram, want, rtol=0, atol=1e-12)
+        assert rank_witness(channel) == (d - 1, d - 1)
+
+    @pytest.mark.parametrize("mode", sorted(DENSE_CHANNELS))
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_transition_plans_agree_with_dense(self, d, mode, rng):
+        dense = DENSE_CHANNELS[mode](d)
+        for _ in range(5):
+            rho, target = random_majorizing_pair(d, rng)
+            plan = transition_channel(rho, target, mode)
+            oracle = TransitionPlan(plan.pre_unitary, dense, plan.post_unitary)
+            for state in (rho, random_density_matrix(d, rng)):
+                np.testing.assert_allclose(plan.apply(state), oracle.apply(state),
+                                           rtol=0, atol=1e-12)
+
+    def test_unknown_mode_and_small_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            gram_channel(4, "neither")
+        with pytest.raises(PreconditionError):
+            gram_channel(1, "classical")
+
+
 class TestCapBeforeAllocation:
     def test_dense_dilation_refused_without_allocating(self):
         tracemalloc.start()
@@ -106,6 +156,17 @@ class TestCapBeforeAllocation:
         try:
             with pytest.raises(ResourceLimitError):
                 classical_dephasing_channel(1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    def test_gram_channel_refused_without_allocating(self, mode):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                gram_channel(5000, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
