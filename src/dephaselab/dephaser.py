@@ -315,12 +315,13 @@ def transition_rotations(rho: np.ndarray, rho_prime: np.ndarray,
     (Schur-Horn); ``post`` maps the diagonal onto the eigenbasis of rho'.
     Neither depends on how the pinch is implemented.
     """
-    rho = check_density_matrix(rho, tol)
-    rho_prime = check_density_matrix(rho_prime, tol)
-    if rho.shape != rho_prime.shape:
-        raise DimensionError("states must share one dimension")
+    rho, rho_prime = as_operator(rho), as_operator(rho_prime)
     lam, w = _eigh_descending(rho)
     mu, w_prime = _eigh_descending(rho_prime)
+    check_density_matrix(rho, tol, lam)
+    check_density_matrix(rho_prime, tol, mu)
+    if rho.shape != rho_prime.shape:
+        raise DimensionError("states must share one dimension")
     if not majorizes_spectra(lam, mu, tol):
         raise PreconditionError("transition requires the source to majorize the target")
     v = schur_horn_unitary(lam, mu, tol)

@@ -47,14 +47,15 @@ def as_operator(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_density_matrix(rho: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a state."""
+def check_density_matrix(rho: np.ndarray, tol: Tolerances = TOL,
+                         evals: np.ndarray | None = None) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity (``evals``: its spectrum, if known)."""
     rho = as_operator(rho)
     if np.max(np.abs(rho - rho.conj().T)) > tol.hermiticity:
         raise InvariantViolation("state is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > tol.trace_one or abs(np.trace(rho).imag) > tol.trace_one:
         raise InvariantViolation("state trace differs from 1 beyond tolerance")
-    lo = float(np.min(np.linalg.eigvalsh(hermitize(rho))))
+    lo = float(np.min(np.linalg.eigvalsh(hermitize(rho)) if evals is None else evals))
     if lo < tol.psd_floor:
         raise InvariantViolation(f"state has eigenvalue {lo} below the admissible floor")
     return rho

@@ -28,6 +28,10 @@ prime p | m, so for composite m the step k = p < m is not the pinching.
 This covers the tensor construction, the single-ring Z_m x Z_m Weyl family
 and Galois-field families.  The same argument makes recurrence at k = m
 need g^m = e for every g: a cyclic Z_{m^2} index fails there.
+
+A residual that is known is not recomputed: ``fig3_sweep`` copies t > m/2
+from its mirror m - t (C_(m-t) = conj(C_t)), and ``recur`` evaluates one
+residual where the two predictions are the same array.
 """
 
 from __future__ import annotations
@@ -293,6 +297,10 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
     sample grid always contains the integer times and the half-period
     midpoint in addition to the uniform grid.  The reduced states come from
     ``continuous_coefficients``, so the joint dimension m^3 is never formed.
+
+    U_a has order m and principal-branch phases, so U_a^(m-t) = (U_a^t)^dagger
+    and C_(m-t) = conj(C_t); for the real input Delta_(m-t) = conj(Delta_t), so
+    t > m/2 copies both norms from the grid point within 1e-12 of m - t, if any.
     """
     out = {}
     for m in m_values:
@@ -304,11 +312,15 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
         grid = set(np.linspace(0.0, m, samples_per_period).tolist())
         grid.update(float(k) for k in range(m + 1))
         grid.add(m / 2.0)
-        points = []
+        distances = {}
         for t in sorted(grid):
-            delta = hermitize(rho * coefficients(t)) - target
-            points.append((t, trace_norm(delta), two_norm(delta)))
-        out[m] = TimeSweep(m=m, points=tuple(points))
+            twin = next((u for u in distances if abs(u + t - m) < 1e-12), None)
+            if t > m / 2 and twin is not None:
+                distances[t] = distances[twin]
+            else:
+                delta = hermitize(rho * coefficients(t)) - target
+                distances[t] = (trace_norm(delta), two_norm(delta))
+        out[m] = TimeSweep(m=m, points=tuple((t, *d) for t, d in distances.items()))
     return out
 
 

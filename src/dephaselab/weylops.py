@@ -53,8 +53,8 @@ def clock_phases(m: int, s) -> np.ndarray:
     phase, for an integer label array s.
     """
     s = np.atleast_1d(np.asarray(s, dtype=np.int64))
-    omega = np.exp(2j * np.pi / m)
-    return omega ** ((s[:, None] % m * np.arange(m)) % m)
+    table = np.exp(2j * np.pi / m) ** np.arange(m)
+    return table[(s[:, None] % m * np.arange(m)) % m]
 
 
 def shift_x(d: int) -> np.ndarray:

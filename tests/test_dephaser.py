@@ -20,6 +20,7 @@ from dephaselab.dephaser import (
 )
 from dephaselab.qcore import (
     DimensionError,
+    InvariantViolation,
     PreconditionError,
     partial_trace,
     tensor,
@@ -160,6 +161,22 @@ class TestTransitions:
         pure = random_pure_state(d, rng)
         with pytest.raises(PreconditionError):
             transition_channel(mixed, pure, "quantum")
+
+    @pytest.mark.parametrize("source_is_bad", [True, False])
+    @pytest.mark.parametrize("defect, message", [
+        ("negative", "state has eigenvalue -1.* below the admissible floor"),
+        ("non-hermitian", "state is not Hermitian within tolerance"),
+        ("trace", "state trace differs from 1 beyond tolerance"),
+    ])
+    def test_invalid_states_raise(self, defect, message, source_is_bad):
+        # the positivity floor reads the eigenvalues of the rotations' own eigh
+        good = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        bad = {"negative": np.diag([0.6 + 1e-6, 0.4, -1e-6]).astype(complex),
+               "non-hermitian": good + 1e-6 * np.triu(np.ones((3, 3)), 1),
+               "trace": 1.1 * good}[defect]
+        pair = (bad, good) if source_is_bad else (good, bad)
+        with pytest.raises(InvariantViolation, match=message):
+            dephaser.transition_rotations(*pair)
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_random_pairs(self, d, rng):

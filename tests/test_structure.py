@@ -2,11 +2,13 @@
 
 The Wigner transforms (gather plus DFT), the Kronecker mask of the
 construction prediction, the block-diagonal continuous-time sweep, the
-vectorised Weyl-family builder, the row-block dense coupling and the
-closed-form decoherence, measurement and private-channel correction are
-each compared with a literal implementation: the looped transforms, mask,
-single-operator Weyl builder, per-operator ancilla family, Kronecker-sum
-coupling, simulated purified processes and simulated correction table kept
+vectorised Weyl-family builder, the row-block dense coupling, the
+closed-form decoherence, measurement and private-channel correction, the
+mirrored fig3 sweep and the shared recur residual are each compared with a
+literal implementation: the looped transforms, mask, single-operator Weyl
+builder, per-operator ancilla family, Kronecker-sum coupling, simulated
+purified processes and simulated correction table, the sweep that evaluates
+every grid point and the recur loop that evaluates both residuals kept
 below, and the dense ``ContinuousEvolver`` on the full joint unitary.
 """
 
@@ -21,6 +23,7 @@ from dephaselab import expander as ex
 from dephaselab import pqc
 from dephaselab import recurrence as rec
 from dephaselab import weylops
+from dephaselab.cli import main
 from dephaselab.dephaser import (
     ancilla_dim,
     classical_dephasing_channel,
@@ -29,8 +32,8 @@ from dephaselab.dephaser import (
     dephasing_ops,
     measurement_process,
 )
-from dephaselab.qcore import hermitize, partial_trace
-from dephaselab.sampling import haar_unitary, random_density_matrix
+from dephaselab.qcore import hermitize, partial_trace, trace_norm, two_norm
+from dephaselab.sampling import haar_unitary, random_density_matrix, spawn_rngs
 from dephaselab.tolerances import TOL
 
 ODD_DIMS = [3, 5, 7, 9, 15, 25, 49, 81]
@@ -172,6 +175,41 @@ def simulated_residual_table() -> dict[tuple[int, ...], tuple[int, ...]]:
     return table
 
 
+def unmirrored_fig3_sweep(m: int, samples: int) -> list[tuple[float, float, float]]:
+    """The fig3 sweep with every grid point evaluated, none copied from m - t."""
+    spec = rec.RecurrenceSpec.for_ancilla(m)
+    coefficients = rec.continuous_coefficients(spec)
+    psi = rec.maximally_coherent_vector(spec.d)
+    rho = np.outer(psi, psi.conj())
+    target = np.diag(np.diagonal(rho))
+    grid = set(np.linspace(0.0, m, samples).tolist())
+    grid.update(float(k) for k in range(m + 1))
+    grid.add(m / 2.0)
+    points = []
+    for t in sorted(grid):
+        delta = hermitize(rho * coefficients(t)) - target
+        points.append((t, trace_norm(delta), two_norm(delta)))
+    return points
+
+
+def recur_rows_both_residuals(m: int, seed: int = 0) -> list[str]:
+    """The recur payload rows with both trace norms evaluated at every k."""
+    spec = rec.RecurrenceSpec.for_ancilla(m)
+    rho = random_density_matrix(spec.d, spawn_rngs(seed, 1)[0])
+    rows = []
+    for k in range(1, 2 * m + 1):
+        got = rec.stroboscopic_map(spec, rho, k)
+        r_ideal = trace_norm(got - rec.predicted_map(k, m, rho))
+        r_exact = trace_norm(got - rec.construction_predicted_map(spec, rho, k))
+        rows.append(f"{m},{k},{r_ideal:.16e},{r_exact:.16e}")
+    return rows
+
+
+def mirrored_points(times: list[float], m: int) -> list[float]:
+    """The times past m/2 whose mirror m - t is also on the grid."""
+    return [t for t in times if t > m / 2 and any(abs(u + t - m) < 1e-12 for u in times)]
+
+
 # ---------------------------------------------------------------------------
 # Wigner transforms
 # ---------------------------------------------------------------------------
@@ -254,6 +292,65 @@ class TestTimeSweepScaling:
         for m in primes:
             for k in range(1, m):
                 assert sweeps[m].distance_at(float(k)) <= TOL.integer_time_residual
+
+
+def counted_trace_norm(monkeypatch) -> list:
+    """Count the trace norms ``recurrence`` evaluates."""
+    calls = []
+    monkeypatch.setattr(rec, "trace_norm", lambda a: calls.append(1) or trace_norm(a))
+    return calls
+
+
+class TestMirroredSweep:
+    @pytest.mark.parametrize("samples", [1, 4, 16, 64])
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 15])
+    def test_matches_unmirrored_loop(self, m, samples):
+        got = rec.fig3_sweep([m], samples)[m].points
+        want = unmirrored_fig3_sweep(m, samples)
+        assert [t for t, _, _ in got] == [t for t, _, _ in want]
+        np.testing.assert_allclose(np.array(got)[:, 1:], np.array(want)[:, 1:],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 9, 15])
+    def test_evaluates_only_up_to_half_period(self, m, monkeypatch):
+        calls = counted_trace_norm(monkeypatch)
+        times = [t for t, _, _ in rec.fig3_sweep([m], 64)[m].points]
+        assert len(mirrored_points(times, m)) == sum(t > m / 2 for t in times)
+        assert len(calls) == sum(t <= m / 2 for t in times)
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_grid_without_mirror_falls_back(self, m, monkeypatch):
+        # a quadratic grid on [0, m]: past m/2 only the integers have a mirror
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda a, b, n: linspace(a, b, n) ** 2 / b)
+        calls = counted_trace_norm(monkeypatch)
+        got = rec.fig3_sweep([m], 16)[m].points
+        times = [t for t, _, _ in got]
+        assert len(calls) == len(times) - len(mirrored_points(times, m))
+        assert len(calls) > sum(t <= m / 2 for t in times)
+        want = unmirrored_fig3_sweep(m, 16)
+        assert times == [t for t, _, _ in want]
+        np.testing.assert_allclose(np.array(got)[:, 1:], np.array(want)[:, 1:],
+                                   rtol=0, atol=1e-12)
+
+
+class TestRecurResiduals:
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 15])
+    def test_csv_equals_loop_with_both_residuals(self, m, tmp_path):
+        out = tmp_path / "recur.csv"
+        assert main(["recur", "--m", str(m), "--out", str(out), "--deterministic"]) == 0
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert rows[1:] == recur_rows_both_residuals(m)
+
+    def test_composite_rows_keep_distinct_residuals(self, tmp_path):
+        out = tmp_path / "recur.csv"
+        assert main(["recur", "--m", "9", "--out", str(out), "--deterministic"]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        partial = {int(k): float(ideal) - float(exact) for _, k, ideal, exact in rows
+                   if int(k) % 3 == 0 and int(k) % 9 != 0}
+        assert sorted(partial) == [3, 6, 12, 15]
+        assert all(gap > 0.5 for gap in partial.values()), partial
 
 
 # ---------------------------------------------------------------------------
