@@ -12,7 +12,10 @@ the minimal noise dimension m:
   epsilon = 0.
 
 Both are met with equality (after integer rounding for the quantum case)
-by the constructions in :mod:`dephaselab.dephaser`.
+by the constructions in :mod:`dephaselab.dephaser`.  Epsilon is measured on
+any channel with ``kind``, ``dim``, ``noise_dim`` and ``apply`` (the CLI
+passes ``dephaser.gram_channel``), and the entropy budget is read from
+``dephaser.couple`` alone, so no joint state is formed here.
 """
 
 from __future__ import annotations
@@ -22,14 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephaser import NoisyChannel, pinch
-from .qcore import (
-    PreconditionError,
-    partial_trace,
-    tensor,
-    trace_norm,
-    von_neumann_entropy,
-)
+from .dephaser import GramChannel, NoisyChannel, couple, pinch
+from .qcore import PreconditionError, trace_norm, von_neumann_entropy
 from .sampling import random_pure_state, spawn_rngs
 from .tolerances import TOL, Tolerances
 
@@ -52,12 +49,13 @@ class EpsilonDephasingReport:
     kind: str                 # "classical" | "quantum"
     epsilon_measured: float   # worst case over the probe states
 
-    def to_json_dict(self, bound: float | None = None) -> dict:
+    def to_json_dict(self, bound: float | None = None,
+                     slack: float = TOL.bound_slack) -> dict:
         out = {"d": self.dim, "m": self.noise_dim, "kind": self.kind,
                "epsilon_measured": self.epsilon_measured}
         if bound is not None:
             out["bound"] = bound
-            out["satisfied"] = bool(self.noise_dim >= bound - 1e-9)
+            out["satisfied"] = bool(self.noise_dim >= bound - slack)
         return out
 
 
@@ -68,7 +66,7 @@ def default_probes(d: int, seed: int = 0, count: int = 20) -> list[np.ndarray]:
     return probes
 
 
-def measure_epsilon(channel: NoisyChannel, basis: np.ndarray | None = None,
+def measure_epsilon(channel: GramChannel | NoisyChannel, basis: np.ndarray | None = None,
                     probes: list[np.ndarray] | None = None,
                     tol: Tolerances = TOL) -> EpsilonDephasingReport:
     """Worst-case trace-norm residual against the pinching over the probes."""
@@ -125,12 +123,12 @@ def rank_witness(channel: NoisyChannel, tol: Tolerances = TOL) -> tuple[int, int
 
 @dataclass(frozen=True)
 class EntropyBudget:
-    """Entropy bookkeeping for a dilation channel fed the coherent state.
+    """Entropy bookkeeping for a coupling fed the coherent state and I/m.
 
-    joint = S(U (|A><A| (x) I/m) U†) = log2 m exactly; the triangle
-    inequality forces |output - ancilla| <= joint.  Equality of the gap
-    with log2 m certifies that no smaller ancilla could have produced the
-    same output entropy.
+    joint = S(V (|A><A| (x) I/m) V†) = log2 m for a unitary family; the
+    triangle inequality forces |output - ancilla| <= joint.  Equality of
+    the gap with log2 m certifies that no smaller ancilla could have
+    produced the same output entropy.
     """
 
     dim: int
@@ -150,20 +148,24 @@ class EntropyBudget:
         return abs(self.gap - self.joint_entropy) <= slack
 
 
-def entropy_budget_check(channel: NoisyChannel, tol: Tolerances = TOL) -> EntropyBudget:
-    """Evaluate every link of the entropy chain for a dilation channel."""
-    if channel.kind != "quantum-dilation":
-        raise PreconditionError("entropy budget applies to dilation channels")
-    u, m = channel.dilation
-    d = channel.dim
+def entropy_budget_check(ops: list[np.ndarray], tol: Tolerances = TOL) -> EntropyBudget:
+    """Every link of the entropy chain for V = sum_i |i><i| (x) U_i, one
+    m x m operator U_i per level, fed |A><A| (x) I/m.
+
+    The marginals come from ``couple``.  The joint is W W† with
+    W = sum_i A_i |i> (x) U_i / sqrt(m), so its nonzero spectrum is that of
+    the m x m matrix W†W = sum_i |A_i|^2 U_i† (I/m) U_i: the ancilla
+    marginal of ``couple`` on the adjoint family.
+    """
+    d, m = len(ops), ops[0].shape[0]
     rho = maximally_coherent_state(d)
-    joint = u @ tensor(rho, np.eye(m, dtype=complex) / m) @ u.conj().T
-    out_s = partial_trace(joint, (d, m), [0])
-    out_r = partial_trace(joint, (d, m), [1])
+    eye = np.eye(m, dtype=complex) / m
+    out_s, out_r = couple(rho, eye, None, ops)
+    w_gram = couple(rho, eye, None, [u.conj().T for u in ops])[1]
     return EntropyBudget(
         dim=d,
         noise_dim=m,
-        joint_entropy=von_neumann_entropy(joint, tol),
+        joint_entropy=von_neumann_entropy(w_gram, tol),
         output_entropy=von_neumann_entropy(out_s, tol),
         ancilla_entropy=von_neumann_entropy(out_r, tol),
     )

@@ -338,8 +338,8 @@ def cmd_expander(args, tol: Tolerances) -> None:
 
 def cmd_bounds(args, tol: Tolerances) -> None:
     d, eps = args.d, args.epsilon
-    quantum = dephaser.build_dephasing_unitary(d, tol=tol)
-    classical = dephaser.classical_dephasing_channel(d, tol)
+    quantum = dephaser.gram_channel(d, "quantum", tol)
+    classical = dephaser.gram_channel(d, "classical", tol)
     probes = bounds_mod.default_probes(d, seed=args.seed)
     rep_q = bounds_mod.measure_epsilon(quantum, probes=probes, tol=tol)
     rep_c = bounds_mod.measure_epsilon(classical, probes=probes, tol=tol)
@@ -347,14 +347,14 @@ def cmd_bounds(args, tol: Tolerances) -> None:
         raise CheckFailure("a constructed channel is not exactly dephasing")
     bound_q = bounds_mod.quantum_lower_bound(d, eps)
     bound_c = bounds_mod.classical_lower_bound(d, eps)
-    budget = bounds_mod.entropy_budget_check(quantum, tol)
+    budget = bounds_mod.entropy_budget_check(dephaser.dephasing_ops(d), tol)
     if not budget.triangle_satisfied(tol.bound_slack):
         raise CheckFailure("entropy budget triangle inequality violated")
     meta = reporting.metadata("bounds", args.seed, tol, args.deterministic)
     payload = {
         "epsilon": eps,
-        "quantum": rep_q.to_json_dict(bound_q),
-        "classical": rep_c.to_json_dict(bound_c),
+        "quantum": rep_q.to_json_dict(bound_q, tol.bound_slack),
+        "classical": rep_c.to_json_dict(bound_c, tol.bound_slack),
         "entropy_budget": {
             "joint": budget.joint_entropy,
             "output": budget.output_entropy,

@@ -18,17 +18,19 @@ contracts toward the pinched state at rate ||sigma - I/m||_1, and never
 decreases entropy.
 
 ``couple`` evaluates both marginals of the coupling from a Gram matrix of the
-ancilla family; the machine, decoherence and measurement go through it.
-State transitions and classical dephasing use ``GramChannel``: every noisy
-pinch here is a mixture of operators diagonal in the pinching basis, so it
-acts as rho -> rho * G (entrywise) with G = Theta diag(p) Theta†, Theta_aj
-the eigenvalue of the j-th operator on |a>.  Its largest array is d x d, so
-the dimension cap applies to d itself.
+ancilla family; the machine, decoherence, measurement and the entropy budget
+of :mod:`dephaselab.bounds` go through it.  State transitions, classical
+dephasing and the epsilon measurement of the bounds use ``GramChannel``:
+every noisy pinch here is a mixture of operators diagonal in the pinching
+basis, so it acts as rho -> rho * G (entrywise) with G = Theta diag(p)
+Theta†, Theta_aj the eigenvalue of the j-th operator on |a>.  Its largest
+array is d x d, so the dimension cap applies to d itself.
 ``controlled_basis_unitary`` builds the dense joint unitary by row blocks
-where a joint state is the checked quantity: the ``NoisyChannel`` dilation,
-the catalytic chain, the recurrence unitary and the private-channel layers.
-``NoisyChannel`` itself (``build_dephasing_unitary`` and
-``classical_dephasing_channel``) stays as the dense reference.
+where a joint state is the checked quantity: the catalytic chain, the
+recurrence unitary and the private-channel layers.  ``NoisyChannel``
+(``build_dephasing_unitary`` and ``classical_dephasing_channel``) has no
+caller in the CLI; it stays as the dense reference the tests compare the
+Gram forms against.
 """
 
 from __future__ import annotations

@@ -232,15 +232,6 @@ class ContinuousEvolver:
         return hermitize(out)
 
 
-def continuous_evolution(v: np.ndarray, rho: np.ndarray, t: float,
-                         system_dim: int | None = None) -> np.ndarray:
-    """One-shot reduced evolution; build a ContinuousEvolver for sweeps."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0] if system_dim is None else system_dim
-    m = v.shape[0] // d
-    return ContinuousEvolver(v, d, m).reduced_state(rho, t)
-
-
 @dataclass(frozen=True)
 class TimeSweep:
     """Distance of the evolved state from the pinched input over one

@@ -304,8 +304,7 @@ class TestAcceptance:
             assert quantum.noise_dim == math.ceil(bound - 1e-12)
         saturation = {}
         for d in (4, 9, 16):
-            budget = bounds.entropy_budget_check(
-                dephaser.build_dephasing_unitary(d))
+            budget = bounds.entropy_budget_check(dephaser.dephasing_ops(d))
             m = ancilla_dim(d)
             assert abs(budget.joint_entropy - math.log2(m)) <= 1e-9
             assert budget.triangle_satisfied(1e-9)

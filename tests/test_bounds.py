@@ -58,6 +58,14 @@ class TestMeasureEpsilon:
         assert report.epsilon_measured >= 2.0 * (1.0 - rank / d) - 1e-9
 
 
+class TestReport:
+    def test_satisfied_uses_the_given_slack(self):
+        report = bounds.EpsilonDephasingReport(dim=9, noise_dim=3, kind="quantum",
+                                               epsilon_measured=0.0)
+        assert report.to_json_dict(3 + 5e-10, 1e-9)["satisfied"]
+        assert not report.to_json_dict(3 + 5e-10, 1e-10)["satisfied"]
+
+
 class TestClassicalLowerBound:
     def test_zero_epsilon_is_full_dimension(self):
         for d in (2, 5, 16):
@@ -128,7 +136,7 @@ class TestMonotonicity:
 
 class TestEntropyBudget:
     def test_perfect_square_saturates(self):
-        budget = bounds.entropy_budget_check(dephaser.build_dephasing_unitary(4))
+        budget = bounds.entropy_budget_check(dephaser.dephasing_ops(4))
         assert budget.joint_entropy == pytest.approx(1.0, abs=1e-9)
         assert budget.output_entropy == pytest.approx(2.0, abs=1e-9)
         assert budget.ancilla_entropy == pytest.approx(1.0, abs=1e-9)
@@ -136,25 +144,18 @@ class TestEntropyBudget:
         assert budget.saturated()
 
     def test_d9(self):
-        budget = bounds.entropy_budget_check(dephaser.build_dephasing_unitary(9))
+        budget = bounds.entropy_budget_check(dephaser.dephasing_ops(9))
         assert budget.joint_entropy == pytest.approx(math.log2(3), abs=1e-9)
         assert abs(budget.output_entropy - budget.ancilla_entropy) <= \
             math.log2(3) + 1e-9
         assert budget.saturated()
 
     def test_non_square_dimension_triangle(self):
-        budget = bounds.entropy_budget_check(dephaser.build_dephasing_unitary(5))
+        budget = bounds.entropy_budget_check(dephaser.dephasing_ops(5))
         assert budget.triangle_satisfied()
 
-    def test_requires_dilation(self):
-        with pytest.raises(PreconditionError):
-            bounds.entropy_budget_check(dephaser.classical_dephasing_channel(3))
-
     def test_trivial_channel_degenerates(self):
-        d = 3
-        trivial = NoisyChannel(kind="quantum-dilation", dim=d,
-                               dilation=(np.eye(d, dtype=complex), 1))
-        budget = bounds.entropy_budget_check(trivial)
+        budget = bounds.entropy_budget_check([np.eye(1)] * 3)
         assert budget.joint_entropy == pytest.approx(0.0, abs=1e-9)
         assert budget.gap == pytest.approx(0.0, abs=1e-9)
         assert budget.triangle_satisfied()

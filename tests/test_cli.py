@@ -116,6 +116,14 @@ class TestSizes:
                      "--out", str(out), "--deterministic"]) == 0
         assert len(payload_lines(out)) == (3 if command == "transition" else 2)
 
+    def test_bounds_above_the_old_joint_cap(self, tmp_path):
+        # d * ceil(sqrt(d)) = 300 * 18 exceeds dim_cap; no joint is formed
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--d", "300", "--out", str(out), "--deterministic"]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["quantum"]["m"], doc["classical"]["m"]) == (18, 300)
+        assert doc["quantum"]["satisfied"] and doc["classical"]["satisfied"]
+
     def test_expander_at_e15(self, tmp_path):
         out = tmp_path / "expander.csv"
         assert main(["expander", "--e", "15", "--k", "30",
@@ -197,6 +205,8 @@ class TestExitCodes:
         (["classical-dephase", "--d", "4097", "--trials", "1"],
          "joint dimension 4097 exceeds the configured cap 4096"),
         (["transition", "--d", "4097", "--trials", "1", "--mode", "classical"],
+         "joint dimension 4097 exceeds the configured cap 4096"),
+        (["bounds", "--d", "4097"],
          "joint dimension 4097 exceeds the configured cap 4096"),
     ])
     def test_precondition_and_cap_errors_are_two(self, argv, message, tmp_path, capsys):

@@ -132,7 +132,7 @@ class TestContinuousTime:
         spec = rec.RecurrenceSpec.for_ancilla(3)
         v = rec.recurrence_unitary(spec)
         rho = random_density_matrix(9, rng)
-        out = rec.continuous_evolution(v, rho, 0.0)
+        out = rec.ContinuousEvolver(v, spec.d, spec.m).reduced_state(rho, 0.0)
         np.testing.assert_allclose(out, rho, atol=1e-10)
 
     def test_integer_times_match_discrete_map(self, rng):
@@ -149,14 +149,14 @@ class TestContinuousTime:
         spec = rec.RecurrenceSpec.for_ancilla(3)
         v = rec.recurrence_unitary(spec)
         rho = random_density_matrix(9, rng)
-        out = rec.continuous_evolution(v, rho, 1.0)
+        out = rec.ContinuousEvolver(v, spec.d, spec.m).reduced_state(rho, 1.0)
         assert trace_norm(out - pinch(rho)) <= TOL.integer_time_residual
 
     def test_full_period_recurs(self, rng):
         spec = rec.RecurrenceSpec.for_ancilla(3)
         v = rec.recurrence_unitary(spec)
         rho = random_density_matrix(9, rng)
-        out = rec.continuous_evolution(v, rho, float(spec.m))
+        out = rec.ContinuousEvolver(v, spec.d, spec.m).reduced_state(rho, float(spec.m))
         assert trace_norm(out - rho) <= TOL.integer_time_residual
 
     def test_propagator_at_unit_time_is_the_unitary(self):

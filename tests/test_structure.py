@@ -9,7 +9,10 @@ literal implementation: the looped transforms, mask, single-operator Weyl
 builder, per-operator ancilla family, Kronecker-sum coupling, simulated
 purified processes and simulated correction table, the sweep that evaluates
 every grid point and the recur loop that evaluates both residuals kept
-below, and the dense ``ContinuousEvolver`` on the full joint unitary.
+below, and the dense ``ContinuousEvolver`` on the full joint unitary.  The
+joint-free entropy budget and the Gram-channel epsilon of the bounds are
+compared with the dense joint (``dense_entropy_budget``) and the dense
+``NoisyChannel``.
 """
 
 import math
@@ -19,20 +22,32 @@ from itertools import product
 import numpy as np
 import pytest
 
+from dephaselab import bounds
 from dephaselab import expander as ex
 from dephaselab import pqc
 from dephaselab import recurrence as rec
 from dephaselab import weylops
 from dephaselab.cli import main
 from dephaselab.dephaser import (
+    NoisyChannel,
     ancilla_dim,
+    build_dephasing_unitary,
     classical_dephasing_channel,
     controlled_basis_unitary,
     decohere_pure_state,
     dephasing_ops,
+    gram_channel,
     measurement_process,
 )
-from dephaselab.qcore import hermitize, partial_trace, trace_norm, two_norm
+from dephaselab.qcore import (
+    PreconditionError,
+    hermitize,
+    partial_trace,
+    tensor,
+    trace_norm,
+    two_norm,
+    von_neumann_entropy,
+)
 from dephaselab.sampling import haar_unitary, random_density_matrix, spawn_rngs
 from dephaselab.tolerances import TOL
 
@@ -208,6 +223,42 @@ def recur_rows_both_residuals(m: int, seed: int = 0) -> list[str]:
 def mirrored_points(times: list[float], m: int) -> list[float]:
     """The times past m/2 whose mirror m - t is also on the grid."""
     return [t for t in times if t > m / 2 and any(abs(u + t - m) < 1e-12 for u in times)]
+
+
+def dense_entropy_budget(channel: NoisyChannel, tol=TOL) -> bounds.EntropyBudget:
+    """The entropy chain read from the dense joint U (|A><A| (x) I/m) U†."""
+    if channel.kind != "quantum-dilation":
+        raise PreconditionError("entropy budget applies to dilation channels")
+    u, m = channel.dilation
+    d = channel.dim
+    rho = bounds.maximally_coherent_state(d)
+    joint = u @ tensor(rho, np.eye(m, dtype=complex) / m) @ u.conj().T
+    out_s = partial_trace(joint, (d, m), [0])
+    out_r = partial_trace(joint, (d, m), [1])
+    return bounds.EntropyBudget(
+        dim=d,
+        noise_dim=m,
+        joint_entropy=von_neumann_entropy(joint, tol),
+        output_entropy=von_neumann_entropy(out_s, tol),
+        ancilla_entropy=von_neumann_entropy(out_r, tol),
+    )
+
+
+def dilation_of(ops: list[np.ndarray]) -> NoisyChannel:
+    """The dense coupling sum_i |i><i| (x) U_i as a dilation channel."""
+    d, m = len(ops), ops[0].shape[0]
+    u = controlled_basis_unitary(np.eye(d, dtype=complex), ops)
+    return NoisyChannel(kind="quantum-dilation", dim=d, dilation=(u, m))
+
+
+def frobenius_normalised_ops(d: int, rng) -> list[np.ndarray]:
+    """d Ginibre matrices scaled to tr(U U†) = m: unital, not unitary."""
+    m = ancilla_dim(d)
+    ops = []
+    for _ in range(d):
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        ops.append(g * math.sqrt(m) / np.linalg.norm(g))
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -444,3 +495,58 @@ class TestClosedFormProcesses:
         for bits, (z1, x1, z2, x2) in table.items():
             want = np.kron(pqc._pauli(z1, x1), pqc._pauli(z2, x2)).conj().T
             np.testing.assert_array_equal(pqc.correction_operator(pqc.Syndrome(bits)), want)
+
+
+# ---------------------------------------------------------------------------
+# Dimension bounds: Gram channels and the joint-free entropy budget
+# ---------------------------------------------------------------------------
+
+def assert_budgets_equal(got, want):
+    assert (got.dim, got.noise_dim) == (want.dim, want.noise_dim)
+    for name in ("joint_entropy", "output_entropy", "ancilla_entropy"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-12)
+
+
+class TestEntropyBudgetOracle:
+    @pytest.mark.parametrize("d", list(range(2, 17)) + [64])
+    def test_dephasing_family_equals_dense_joint(self, d):
+        assert_budgets_equal(bounds.entropy_budget_check(dephasing_ops(d)),
+                             dense_entropy_budget(build_dephasing_unitary(d)))
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_haar_family_equals_dense_joint(self, d, rng):
+        ops = [haar_unitary(ancilla_dim(d), rng) for _ in range(d)]
+        assert_budgets_equal(bounds.entropy_budget_check(ops),
+                             dense_entropy_budget(dilation_of(ops)))
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_non_unitary_family_equals_dense_joint(self, d, rng):
+        ops = frobenius_normalised_ops(d, rng)
+        got = bounds.entropy_budget_check(ops)
+        assert_budgets_equal(got, dense_entropy_budget(dilation_of(ops)))
+        assert abs(got.joint_entropy - math.log2(ancilla_dim(d))) > 1e-3
+
+
+class TestGramEpsilon:
+    @pytest.mark.parametrize("d", list(range(2, 17)) + [64])
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    def test_equals_dense_channel(self, d, mode):
+        dense = (build_dephasing_unitary(d) if mode == "quantum"
+                 else classical_dephasing_channel(d))
+        gram, probes = gram_channel(d, mode), bounds.default_probes(d)
+        got = bounds.measure_epsilon(gram, probes=probes)
+        want = bounds.measure_epsilon(dense, probes=probes)
+        assert (got.kind, got.dim, got.noise_dim) == (want.kind, want.dim, want.noise_dim)
+        assert got.epsilon_measured == pytest.approx(want.epsilon_measured,
+                                                     rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_truncated_clock_mixture_equals_dense_channel(self, d):
+        dense = NoisyChannel(kind="classical-mixture", dim=d, mixture=tuple(
+            weylops.weyl_family(d, 0, np.arange(1, d))))
+        probes = bounds.default_probes(d)
+        got = bounds.measure_epsilon(gram_channel(d, "classical", count=d - 1), probes=probes)
+        want = bounds.measure_epsilon(dense, probes=probes)
+        assert got.epsilon_measured > 0.1
+        assert got.epsilon_measured == pytest.approx(want.epsilon_measured,
+                                                     rel=0, abs=1e-12)
