@@ -154,14 +154,15 @@ def entropy_budget_check(ops: list[np.ndarray], tol: Tolerances = TOL) -> Entrop
 
     The marginals come from ``couple``.  The joint is W W† with
     W = sum_i A_i |i> (x) U_i / sqrt(m), so its nonzero spectrum is that of
-    the m x m matrix W†W = sum_i |A_i|^2 U_i† (I/m) U_i: the ancilla
-    marginal of ``couple`` on the adjoint family.
+    the m x m matrix W†W = sum_i |A_i|^2 U_i† (I/m) U_i, one contraction
+    over the stacked family.
     """
     d, m = len(ops), ops[0].shape[0]
     rho = maximally_coherent_state(d)
-    eye = np.eye(m, dtype=complex) / m
-    out_s, out_r = couple(rho, eye, None, ops)
-    w_gram = couple(rho, eye, None, [u.conj().T for u in ops])[1]
+    out_s, out_r = couple(rho, np.eye(m, dtype=complex) / m, None, ops)
+    stack = np.asarray(ops, dtype=complex)
+    w_gram = np.einsum("i,iyx,iyz->xz", np.diagonal(rho).real / m, stack.conj(), stack,
+                       optimize=True)
     return EntropyBudget(
         dim=d,
         noise_dim=m,

@@ -115,16 +115,6 @@ def classical_step(p: np.ndarray) -> np.ndarray:
     return walk_apply(p, e)
 
 
-def walk_matrix(e: int) -> np.ndarray:
-    """The doubly stochastic e^2 x e^2 walk matrix (symmetric)."""
-    idx = _walk_indices(e)
-    n = e * e
-    w = np.zeros((n, n))
-    for row in idx:
-        w[np.arange(n), row] += 1.0 / 8.0
-    return w
-
-
 def uniform_distribution(e: int) -> np.ndarray:
     return np.full(e * e, 1.0 / (e * e))
 
@@ -159,13 +149,6 @@ class WignerFunction:
         """Column-constant projection: the Wigner function of the pinching."""
         cols = self.column_sums() / self.d
         return WignerFunction(self.d, np.tile(cols, (self.d, 1)))
-
-
-def phase_point_operator(d: int, p: int, q: int) -> np.ndarray:
-    """Displaced parity w(p,q) Pi w(p,q)†, built explicitly (test oracle)."""
-    from .weylops import parity_operator, weyl_displacement
-    w = weyl_displacement(d, p, q)
-    return w @ parity_operator(d) @ w.conj().T
 
 
 def _anti_diagonals(d: int) -> tuple[np.ndarray, np.ndarray]:

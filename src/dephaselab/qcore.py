@@ -3,7 +3,9 @@
 All operators are plain ``numpy.ndarray`` objects with ``complex128`` dtype;
 states are square unit-trace positive matrices.  Subsystem structure is
 described by a tuple of factor dimensions (left factor = slowest index, i.e.
-``kron`` order).  Everything here is a pure function over immutable inputs.
+``kron`` order).  Everything here is a pure function over immutable inputs,
+and numpy is the only dependency: unitary eigenphases come from a Cayley
+transform and ``eigh`` (``unitary_eigh``), not from a Schur decomposition.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .tolerances import TOL, Tolerances
 
@@ -194,13 +195,11 @@ def mutual_information(joint: np.ndarray, layout: Sequence[int],
 def hamiltonian_from_unitary(u: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Hermitian generator H with exp(-i H) = U and eigenphases in (-pi, pi].
 
-    Uses a complex Schur decomposition so the eigenbasis is orthonormal even
+    The eigenbasis comes from ``unitary_eigh``, so it is orthonormal even
     for degenerate eigenvalues.
     """
-    u = check_unitary(u, tol)
-    t, q = scipy.linalg.schur(u, output="complex")
-    phases = unitary_eigenphases(np.diagonal(t))
-    return q @ np.diag(phases) @ q.conj().T
+    phases, q = unitary_eigh(check_unitary(u, tol))
+    return (q * phases) @ q.conj().T
 
 
 def unitary_eigenphases(eigvals: np.ndarray) -> np.ndarray:
@@ -212,6 +211,30 @@ def unitary_eigenphases(eigvals: np.ndarray) -> np.ndarray:
     h = -np.angle(np.asarray(eigvals, dtype=complex))
     h = np.where(h <= -np.pi + 1e-15, h + 2 * np.pi, h)
     return h
+
+
+def unitary_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, Q) with U = Q diag(exp(-i h)) Q†, Q unitary and h the
+    ``unitary_eigenphases`` branch, for one unitary or a stack (..., n, n).
+
+    The spectrum is rotated so that -1 falls in the middle of its widest
+    gap; the Cayley transform A = i (I - W)(I + W)^-1 of the rotated W is
+    then a well-conditioned Hermitian matrix with the eigenvectors of U, and
+    distinct eigenvalues on the circle map to distinct reals, so ``eigh``
+    gives an orthonormal basis even for a degenerate spectrum.  The phases
+    are read back from diag(Q† U Q).
+    """
+    u = np.asarray(u, dtype=complex)
+    angles = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    gaps = np.diff(angles, axis=-1, append=angles[..., :1] + 2 * np.pi)
+    widest = np.argmax(gaps, axis=-1)[..., None]
+    middle = np.take_along_axis(angles + gaps / 2, widest, axis=-1)
+    w = u * np.exp(1j * (np.pi - middle))[..., None]
+    eye = np.eye(u.shape[-1])
+    cayley = 1j * np.linalg.solve(eye + w, eye - w)
+    _, q = np.linalg.eigh(0.5 * (cayley + cayley.conj().swapaxes(-1, -2)))
+    eigvals = np.sum(q.conj() * (u @ q), axis=-2)
+    return unitary_eigenphases(eigvals), q
 
 
 def spectrum_descending(rho: np.ndarray) -> np.ndarray:

@@ -31,7 +31,9 @@ need g^m = e for every g: a cyclic Z_{m^2} index fails there.
 
 A residual that is known is not recomputed: ``fig3_sweep`` copies t > m/2
 from its mirror m - t (C_(m-t) = conj(C_t)), and ``recur`` evaluates one
-residual where the two predictions are the same array.
+residual where the two predictions are the same array.  Continuous time
+diagonalizes the whole ancilla family with one batched ``qcore.unitary_eigh``
+call, in numpy alone.
 """
 
 from __future__ import annotations
@@ -41,18 +43,15 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from . import weylops
 from .dephaser import controlled_basis_unitary, pinch
 from .qcore import (
     PreconditionError,
     hermitize,
-    partial_trace,
-    tensor,
     trace_norm,
     two_norm,
-    unitary_eigenphases,
+    unitary_eigh,
 )
 from .tolerances import TOL, Tolerances
 
@@ -139,19 +138,6 @@ def stroboscopic_map(spec: RecurrenceSpec, rho: np.ndarray, k: int) -> np.ndarra
     return hermitize(rho * hadamard_coefficients(spec, k))
 
 
-def stroboscopic_map_literal(spec: RecurrenceSpec, rho: np.ndarray, k: int,
-                             tol: Tolerances = TOL) -> np.ndarray:
-    """Same map evaluated by explicit matrix powers of the joint unitary.
-
-    Exponentially more expensive; kept as the independent cross-check of the
-    Hadamard evaluation path.
-    """
-    v = recurrence_unitary(spec, tol)
-    vk = np.linalg.matrix_power(v, k)
-    joint = vk @ tensor(rho, np.eye(spec.m, dtype=complex) / spec.m) @ vk.conj().T
-    return hermitize(partial_trace(joint, (spec.d, spec.m), [0]))
-
-
 def predicted_map(k: int, m: int, rho: np.ndarray,
                   basis: np.ndarray | None = None) -> np.ndarray:
     """Idealized stroboscopic target: identity when k is a multiple of m,
@@ -174,16 +160,6 @@ def construction_predicted_map(spec: RecurrenceSpec, rho: np.ndarray,
     return np.asarray(rho, dtype=complex) * reduce(np.kron, blocks + blocks)
 
 
-def phase_kernel(m: int, k: int, r: int, u: int, s: int, v: int) -> complex:
-    """(1/m) tau^{k^2 (u s - r v)} tr(U_{r-u, s-v}^k) for a single prime m.
-
-    Evaluates to 1 exactly when k = 0 mod m or (r, s) = (u, v), else 0.
-    """
-    tau = -np.exp(1j * np.pi / m)
-    op = np.linalg.matrix_power(weylops.weyl_op(m, r - u, s - v), k)
-    return tau ** ((k * k * (u * s - r * v)) % (2 * m)) * np.trace(op) / m
-
-
 # ---------------------------------------------------------------------------
 # Continuous time
 # ---------------------------------------------------------------------------
@@ -192,23 +168,23 @@ class ContinuousEvolver:
     """Evolution under the Hermitian generator of a joint unitary; the dense
     reference for ``continuous_coefficients``.
 
-    Diagonalizes the unitary once (complex Schur, exact for normal
-    matrices); each time point then costs one phase rotation per eigenvalue.
-    ``reduced_state(rho, t)`` returns the system marginal of the evolved
-    joint state with a maximally mixed ancilla, exploiting the spectral
-    decomposition of rho so pure initial states stay cheap.
+    Diagonalizes the unitary once (``unitary_eigh``, orthonormal even for
+    degenerate phases); each time point then costs one phase rotation per
+    eigenvalue.  ``reduced_state(rho, t)`` returns the system marginal of the
+    evolved joint state with a maximally mixed ancilla, exploiting the
+    spectral decomposition of rho so pure initial states stay cheap.
     """
 
     def __init__(self, v: np.ndarray, system_dim: int, ancilla_dim: int):
         if v.shape[0] != system_dim * ancilla_dim:
             raise PreconditionError("unitary does not act on system x ancilla")
-        t, q = scipy.linalg.schur(np.asarray(v, dtype=complex), output="complex")
+        phases, q = unitary_eigh(v)
         self.system_dim = system_dim
         self.ancilla_dim = ancilla_dim
         self.eigvecs = q
         # exp(-i h t) with h the (-pi, pi] generator phases; the stored value
         # is -h so the propagator below multiplies by exp(+i phases t).
-        self.phases = -unitary_eigenphases(np.diagonal(t))
+        self.phases = -phases
 
     def joint_propagator(self, t: float) -> np.ndarray:
         """exp(-i H t) with H = i log V, eigenphases in (-pi, pi]."""
@@ -268,15 +244,14 @@ def continuous_coefficients(spec: RecurrenceSpec):
     rho -> tr_R[V^t (rho (x) I/m) V^{-t}] is rho -> rho * C_t elementwise.
 
     V = sum_a |a><a| (x) U_a is block diagonal, so V^t = sum_a |a><a| (x) U_a^t
-    on the principal branch of ``unitary_eigenphases``.  Each U_a is Schur-
-    decomposed once; a time point costs m^2 small products and one Gram.
+    on the principal branch of ``unitary_eigenphases``.  The (m^2, m, m)
+    family is diagonalized once by one batched ``unitary_eigh``; a time point
+    costs m^2 small products and one Gram.
     """
-    schur = [scipy.linalg.schur(u, output="complex") for u in ancilla_family(spec)]
-    vecs = np.stack([q for _, q in schur])
-    phases = -np.stack([unitary_eigenphases(np.diagonal(tri)) for tri, _ in schur])
+    phases, vecs = unitary_eigh(ancilla_family(spec))
 
     def at(t: float) -> np.ndarray:
-        rot = np.exp(1j * phases * t)[:, None, :]
+        rot = np.exp(-1j * phases * t)[:, None, :]
         return weylops.operator_gram((vecs * rot) @ vecs.conj().transpose(0, 2, 1))
     return at
 
@@ -313,20 +288,3 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
                 distances[t] = (trace_norm(delta), two_norm(delta))
         out[m] = TimeSweep(m=m, points=tuple((t, *d) for t, d in distances.items()))
     return out
-
-
-def even_m_diagnostic(m: int, k: int | None = None) -> np.ndarray:
-    """Coefficient matrix of the step-k map for even m (read-only).
-
-    Even ancilla dimensions carry no recurrence guarantee: intermediate even
-    k only partially pinch, and the sign structure of the surviving entries
-    depends on the phase convention of the operator family.  The returned
-    matrix holds the exact Hadamard coefficients (zero or unit modulus) of
-    the induced map at step ``k`` (default: the period point k = m).
-    """
-    if m % 2 != 0:
-        raise PreconditionError("diagnostic applies to even m only")
-    if k is None:
-        k = m
-    r, s = np.divmod(np.arange(m * m), m)
-    return weylops.operator_gram(weylops.weyl_family(m, k * r, k * s))

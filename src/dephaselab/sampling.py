@@ -8,6 +8,7 @@ identical draws regardless of scheduling.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401 (numpy loads it lazily; load it at import, not mid-command)
 
 from .qcore import hermitize
 

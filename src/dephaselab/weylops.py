@@ -172,16 +172,3 @@ def weyl_displacement(d: int, p: int, q: int) -> np.ndarray:
         raise PreconditionError("phase-space coordinates must lie in Z_d")
     # Z^p X^q = w^{pq} X^q Z^p
     return np.exp(2j * np.pi * ((p * q) % d) / d) * weyl_op(d, q, p)
-
-
-def expand_in_basis(basis: UnitaryOperatorBasis, a: np.ndarray) -> np.ndarray:
-    """Coefficients c_i = (1/m) tr(U_i† a); a = sum_i c_i U_i."""
-    m = basis.dim
-    return np.array([np.trace(op.conj().T @ a) / m for op in basis.ops])
-
-
-def resum_from_basis(basis: UnitaryOperatorBasis, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for c, op in zip(coeffs, basis.ops):
-        out += c * op
-    return out

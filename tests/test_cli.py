@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dephaselab
 from dephaselab.cli import main
 
 
@@ -98,6 +102,19 @@ class TestCommandsRun:
         doc = json.loads(out.read_text())
         assert doc["quantum"]["satisfied"] and doc["classical"]["satisfied"]
         assert doc["entropy_budget"]["saturated"]
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy.linalg alone costs about 0.24 s of every CLI start
+        src = str(Path(dephaselab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, dephaselab.cli; dephaselab.cli.build_parser(); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestSizes:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dephaselab import expander as ex
+from dephaselab import weylops
 from dephaselab.dephaser import pinch
 from dephaselab.qcore import PreconditionError, trace_norm, two_norm
 from dephaselab.sampling import random_density_matrix
@@ -18,6 +19,22 @@ def lattice_points(e: int) -> np.ndarray:
 def coherent(d: int) -> np.ndarray:
     v = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     return np.outer(v, v.conj())
+
+
+def walk_matrix(e: int) -> np.ndarray:
+    """The doubly stochastic e^2 x e^2 walk matrix (symmetric)."""
+    idx = ex._walk_indices(e)
+    n = e * e
+    w = np.zeros((n, n))
+    for row in idx:
+        w[np.arange(n), row] += 1.0 / 8.0
+    return w
+
+
+def phase_point_operator(d: int, p: int, q: int) -> np.ndarray:
+    """Displaced parity w(p,q) Pi w(p,q)†, built explicitly."""
+    w = weylops.weyl_displacement(d, p, q)
+    return w @ weylops.parity_operator(d) @ w.conj().T
 
 
 class TestMargulisMaps:
@@ -77,14 +94,14 @@ class TestClassicalWalk:
 
     def test_walk_matrix_doubly_stochastic_symmetric(self):
         for e in (3, 5, 7):
-            w = ex.walk_matrix(e)
+            w = walk_matrix(e)
             np.testing.assert_allclose(w.sum(axis=0), np.ones(e * e), atol=1e-12)
             np.testing.assert_allclose(w.sum(axis=1), np.ones(e * e), atol=1e-12)
             np.testing.assert_allclose(w, w.T, atol=1e-15)
 
     @pytest.mark.parametrize("e", [3, 5, 7])
     def test_spectral_gap(self, e):
-        w = ex.walk_matrix(e)
+        w = walk_matrix(e)
         eigs = np.sort(np.abs(np.linalg.eigvalsh(w)))[::-1]
         assert eigs[0] == pytest.approx(1.0, abs=1e-12)
         assert eigs[1] <= ex.CONTRACTION_FACTOR + 1e-12
@@ -117,7 +134,7 @@ class TestWignerTransform:
         w = ex.wigner_from_state(rho)
         for p in range(d):
             for q in range(d):
-                ref = np.trace(ex.phase_point_operator(d, p, q) @ rho).real / d
+                ref = np.trace(phase_point_operator(d, p, q) @ rho).real / d
                 assert w.values[p, q] == pytest.approx(ref, abs=1e-12)
 
     def test_normalization(self, rng):

@@ -10,9 +10,40 @@ import pytest
 from dephaselab import recurrence as rec
 from dephaselab import weylops
 from dephaselab.dephaser import pinch
-from dephaselab.qcore import PreconditionError, trace_norm
+from dephaselab.qcore import PreconditionError, hermitize, partial_trace, tensor, trace_norm
 from dephaselab.sampling import random_density_matrix
 from dephaselab.tolerances import TOL
+
+
+def stroboscopic_map_literal(spec: rec.RecurrenceSpec, rho: np.ndarray, k: int) -> np.ndarray:
+    """The stroboscopic map by explicit matrix powers of the joint unitary."""
+    vk = np.linalg.matrix_power(rec.recurrence_unitary(spec), k)
+    joint = vk @ tensor(rho, np.eye(spec.m, dtype=complex) / spec.m) @ vk.conj().T
+    return hermitize(partial_trace(joint, (spec.d, spec.m), [0]))
+
+
+def phase_kernel(m: int, k: int, r: int, u: int, s: int, v: int) -> complex:
+    """(1/m) tau^{k^2 (u s - r v)} tr(U_{r-u, s-v}^k) for a single prime m.
+
+    Evaluates to 1 exactly when k = 0 mod m or (r, s) = (u, v), else 0.
+    """
+    tau = -np.exp(1j * np.pi / m)
+    op = np.linalg.matrix_power(weylops.weyl_op(m, r - u, s - v), k)
+    return tau ** ((k * k * (u * s - r * v)) % (2 * m)) * np.trace(op) / m
+
+
+def even_m_diagnostic(m: int, k: int | None = None) -> np.ndarray:
+    """Hadamard coefficients of the step-k map for even m (default k = m).
+
+    Even ancilla dimensions carry no recurrence guarantee: intermediate even
+    k only partially pinch, and the entries are zero or of unit modulus.
+    """
+    if m % 2 != 0:
+        raise PreconditionError("diagnostic applies to even m only")
+    if k is None:
+        k = m
+    r, s = np.divmod(np.arange(m * m), m)
+    return weylops.operator_gram(weylops.weyl_family(m, k * r, k * s))
 
 
 class TestSpec:
@@ -54,7 +85,7 @@ class TestPhaseKernel:
                 for u in range(m):
                     for s in range(m):
                         for v in range(m):
-                            got = rec.phase_kernel(m, k, r, u, s, v)
+                            got = phase_kernel(m, k, r, u, s, v)
                             want = 1.0 if (k % m == 0 or (r == u and s == v)) else 0.0
                             assert abs(got - want) < 1e-10
 
@@ -65,7 +96,7 @@ class TestStroboscopic:
         rho = random_density_matrix(spec.d, rng)
         for k in range(0, 2 * spec.m + 1):
             fast = rec.stroboscopic_map(spec, rho, k)
-            slow = rec.stroboscopic_map_literal(spec, rho, k)
+            slow = stroboscopic_map_literal(spec, rho, k)
             assert np.max(np.abs(fast - slow)) < 1e-11
 
     @pytest.mark.parametrize("m", [3, 5, 7])
@@ -194,17 +225,17 @@ class TestFigSweep:
 class TestEvenDiagnostic:
     def test_rejects_odd(self):
         with pytest.raises(PreconditionError):
-            rec.even_m_diagnostic(3)
+            even_m_diagnostic(3)
 
     def test_period_point_coefficients(self):
         # entries are exactly zero or unit modulus; diagonal entries are one
-        c = rec.even_m_diagnostic(4)
+        c = even_m_diagnostic(4)
         mags = np.abs(c)
         assert np.all((mags < 1e-12) | (np.abs(mags - 1.0) < 1e-12))
         np.testing.assert_allclose(np.diagonal(c), np.ones(16), atol=1e-12)
 
     def test_intermediate_step_only_partially_pinches(self):
-        c2 = rec.even_m_diagnostic(4, k=2)
+        c2 = even_m_diagnostic(4, k=2)
         off = c2 - np.diag(np.diagonal(c2))
         assert np.max(np.abs(off)) > 0.5  # some coherences survive
 

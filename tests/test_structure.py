@@ -10,6 +10,9 @@ builder, per-operator ancilla family, Kronecker-sum coupling, simulated
 purified processes and simulated correction table, the sweep that evaluates
 every grid point and the recur loop that evaluates both residuals kept
 below, and the dense ``ContinuousEvolver`` on the full joint unitary.  The
+batched numpy eigensolver ``unitary_eigh`` behind continuous time is checked
+against scipy's complex Schur decomposition (``schur_continuous_coefficients``)
+and on degenerate and near -1 spectra.  The
 joint-free entropy budget and the Gram-channel epsilon of the bounds are
 compared with the dense joint (``dense_entropy_budget``) and the dense
 ``NoisyChannel``.
@@ -21,6 +24,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dephaselab import bounds
 from dephaselab import expander as ex
@@ -46,6 +50,8 @@ from dephaselab.qcore import (
     tensor,
     trace_norm,
     two_norm,
+    unitary_eigenphases,
+    unitary_eigh,
     von_neumann_entropy,
 )
 from dephaselab.sampling import haar_unitary, random_density_matrix, spawn_rngs
@@ -190,6 +196,27 @@ def simulated_residual_table() -> dict[tuple[int, ...], tuple[int, ...]]:
     return table
 
 
+def fig3_grid(m: int, samples: int = 64) -> list[float]:
+    """The time points of the fig3 sweep over one period."""
+    grid = set(np.linspace(0.0, m, samples).tolist())
+    grid.update(float(k) for k in range(m + 1))
+    grid.add(m / 2.0)
+    return sorted(grid)
+
+
+def schur_continuous_coefficients(spec: rec.RecurrenceSpec):
+    """``continuous_coefficients`` with each ancilla unitary Schur-decomposed
+    by scipy, one at a time."""
+    schur = [scipy.linalg.schur(u, output="complex") for u in rec.ancilla_family(spec)]
+    vecs = np.stack([q for _, q in schur])
+    phases = -np.stack([unitary_eigenphases(np.diagonal(tri)) for tri, _ in schur])
+
+    def at(t: float) -> np.ndarray:
+        rot = np.exp(1j * phases * t)[:, None, :]
+        return weylops.operator_gram((vecs * rot) @ vecs.conj().transpose(0, 2, 1))
+    return at
+
+
 def unmirrored_fig3_sweep(m: int, samples: int) -> list[tuple[float, float, float]]:
     """The fig3 sweep with every grid point evaluated, none copied from m - t."""
     spec = rec.RecurrenceSpec.for_ancilla(m)
@@ -332,6 +359,64 @@ class TestBlockContinuousTime:
         for t in (0.0, 0.3, 1.0, 2.5, 4.75):
             np.testing.assert_allclose(hermitize(rho * coefficients(t)),
                                        dense.reduced_state(rho, t), rtol=0, atol=1e-12)
+
+
+def assert_unitary_eigh(u: np.ndarray) -> np.ndarray:
+    """U = Q diag(exp(-i h)) Q† with Q unitary and h in (-pi, pi]; returns h."""
+    h, q = unitary_eigh(u)
+    eye = np.eye(u.shape[-1])
+    np.testing.assert_allclose(q.conj().swapaxes(-1, -2) @ q, np.broadcast_to(eye, u.shape),
+                               rtol=0, atol=1e-12)
+    back = (q * np.exp(-1j * h)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    np.testing.assert_allclose(back, u, rtol=0, atol=1e-12)
+    assert np.all(h > -np.pi) and np.all(h <= np.pi)
+    return h
+
+
+class TestUnitaryEigh:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_haar_one_by_one_and_stacked(self, n, rng):
+        stack = np.stack([haar_unitary(n, rng) for _ in range(4)])
+        for u in stack:
+            assert_unitary_eigh(u)
+        h = assert_unitary_eigh(stack)
+        assert h.shape == (4, n)
+
+    def test_identity(self):
+        np.testing.assert_array_equal(assert_unitary_eigh(np.eye(3, dtype=complex)),
+                                      np.zeros(3))
+
+    def test_minus_one_takes_the_plus_pi_branch(self):
+        h = assert_unitary_eigh(np.diag([1.0, -1.0]).astype(complex))
+        np.testing.assert_allclose(np.sort(h), [0.0, np.pi], rtol=0, atol=1e-12)
+
+    def test_degenerate_diagonal(self):
+        h = assert_unitary_eigh(np.diag([1j, 1j, -1j]))
+        np.testing.assert_allclose(np.sort(h), [-np.pi / 2, -np.pi / 2, np.pi / 2],
+                                   rtol=0, atol=1e-12)
+
+    def test_spectrum_clustered_near_minus_one(self, rng):
+        q = haar_unitary(6, rng)
+        angles = np.pi + np.array([-1e-3, -1e-9, 0.0, 0.0, 1e-9, 1e-3])
+        assert_unitary_eigh((q * np.exp(1j * angles)) @ q.conj().T)
+
+    @pytest.mark.parametrize("m", [9, 15, 25, 27])
+    def test_composite_weyl_families_are_exactly_degenerate(self, m):
+        family = rec.ancilla_family(rec.RecurrenceSpec.for_ancilla(m))
+        h = assert_unitary_eigh(family)
+        # the m-th roots of unity, each (m / #distinct) times, on every member
+        np.testing.assert_allclose(np.exp(-1j * m * h), np.ones_like(h), rtol=0, atol=1e-11)
+
+
+class TestContinuousCoefficientsOracle:
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 15, 21, 25, 27])
+    def test_matches_schur_on_the_fig3_grid(self, m):
+        # the points fig3_sweep evaluates; it copies t > m/2 from m - t
+        spec = rec.RecurrenceSpec.for_ancilla(m)
+        got, want = rec.continuous_coefficients(spec), schur_continuous_coefficients(spec)
+        for t in fig3_grid(m):
+            if t <= m / 2:
+                np.testing.assert_allclose(got(t), want(t), rtol=0, atol=1e-12)
 
 
 class TestTimeSweepScaling:

@@ -12,6 +12,19 @@ def tau(m: int) -> complex:
     return -np.exp(1j * np.pi / m)
 
 
+def expand_in_basis(basis: weylops.UnitaryOperatorBasis, a: np.ndarray) -> np.ndarray:
+    """Coefficients c_i = (1/m) tr(U_i† a); a = sum_i c_i U_i."""
+    m = basis.dim
+    return np.array([np.trace(op.conj().T @ a) / m for op in basis.ops])
+
+
+def resum_from_basis(basis: weylops.UnitaryOperatorBasis, coeffs: np.ndarray) -> np.ndarray:
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for c, op in zip(coeffs, basis.ops):
+        out += c * op
+    return out
+
+
 class TestClockShift:
     def test_qubit_case_is_pauli(self):
         np.testing.assert_allclose(weylops.shift_x(2), [[0, 1], [1, 0]])
@@ -111,8 +124,8 @@ class TestWeylBasis:
         basis = weylops.weyl_basis(m)
         for _ in range(20):
             a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            coeffs = weylops.expand_in_basis(basis, a)
-            back = weylops.resum_from_basis(basis, coeffs)
+            coeffs = expand_in_basis(basis, a)
+            back = resum_from_basis(basis, coeffs)
             assert np.max(np.abs(back - a)) < 1e-9
 
 
