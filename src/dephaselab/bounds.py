@@ -49,30 +49,26 @@ class EpsilonDephasingReport:
     kind: str                 # "classical" | "quantum"
     epsilon_measured: float   # worst case over the probe states
 
-    def to_json_dict(self, bound: float | None = None,
-                     slack: float = TOL.bound_slack) -> dict:
-        out = {"d": self.dim, "m": self.noise_dim, "kind": self.kind,
-               "epsilon_measured": self.epsilon_measured}
-        if bound is not None:
-            out["bound"] = bound
-            out["satisfied"] = bool(self.noise_dim >= bound - slack)
-        return out
+    def to_json_dict(self, bound: float, slack: float = TOL.bound_slack) -> dict:
+        return {"d": self.dim, "m": self.noise_dim, "kind": self.kind,
+                "epsilon_measured": self.epsilon_measured, "bound": bound,
+                "satisfied": bool(self.noise_dim >= bound - slack)}
 
 
-def default_probes(d: int, seed: int = 0, count: int = 20) -> list[np.ndarray]:
-    """The maximally coherent state plus seeded Haar-random pure states."""
+def default_probes(d: int, seed: int = 0) -> list[np.ndarray]:
+    """The maximally coherent state plus 20 seeded Haar-random pure states."""
     probes = [maximally_coherent_state(d)]
-    probes.extend(random_pure_state(d, rng) for rng in spawn_rngs(seed, count))
+    probes.extend(random_pure_state(d, rng) for rng in spawn_rngs(seed, 20))
     return probes
 
 
-def measure_epsilon(channel: GramChannel | NoisyChannel, basis: np.ndarray | None = None,
+def measure_epsilon(channel: GramChannel | NoisyChannel,
                     probes: list[np.ndarray] | None = None,
                     tol: Tolerances = TOL) -> EpsilonDephasingReport:
     """Worst-case trace-norm residual against the pinching over the probes."""
     if probes is None:
         probes = default_probes(channel.dim)
-    eps = max(trace_norm(channel.apply(rho) - pinch(rho, basis)) for rho in probes)
+    eps = max(trace_norm(channel.apply(rho) - pinch(rho)) for rho in probes)
     kind = "classical" if channel.kind == "classical-mixture" else "quantum"
     return EpsilonDephasingReport(dim=channel.dim, noise_dim=channel.noise_dim,
                                   kind=kind, epsilon_measured=eps)
@@ -108,7 +104,7 @@ def operator_rank(a: np.ndarray, tol: Tolerances = TOL) -> int:
     return int(np.sum(s > tol.rank_rel_cutoff * s[0]))
 
 
-def rank_witness(channel: NoisyChannel, tol: Tolerances = TOL) -> tuple[int, int]:
+def rank_witness(channel: GramChannel | NoisyChannel, tol: Tolerances = TOL) -> tuple[int, int]:
     """(rank of the channel image of the coherent state, mixture size m).
 
     For a uniform mixture of m unitaries the image of a pure state is an
@@ -141,10 +137,10 @@ class EntropyBudget:
     def gap(self) -> float:
         return abs(self.output_entropy - self.ancilla_entropy)
 
-    def triangle_satisfied(self, slack: float = 1e-9) -> bool:
+    def triangle_satisfied(self, slack: float = TOL.bound_slack) -> bool:
         return self.gap <= self.joint_entropy + slack
 
-    def saturated(self, slack: float = 1e-9) -> bool:
+    def saturated(self, slack: float = TOL.bound_slack) -> bool:
         return abs(self.gap - self.joint_entropy) <= slack
 
 

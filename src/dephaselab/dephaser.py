@@ -211,11 +211,11 @@ def controlled_basis_unitary(basis_vectors: np.ndarray,
     return u.reshape(d * m, d * m)
 
 
-def dephasing_ops(d: int) -> list[np.ndarray]:
+def dephasing_ops(d: int) -> np.ndarray:
     """The first d Weyl operators on an ancilla of dimension ceil(sqrt(d))."""
     if d < 2:
         raise PreconditionError("dephasing needs system dimension >= 2")
-    return list(weylops.weyl_basis(ancilla_dim(d)).ops[:d])
+    return weylops.weyl_basis(ancilla_dim(d))[:d]
 
 
 def couple(rho: np.ndarray, sigma: np.ndarray, basis: np.ndarray | None,
@@ -358,7 +358,6 @@ class ChainReport:
 
 
 def catalytic_chain(states: list[np.ndarray],
-                    bases: list[np.ndarray] | None = None,
                     tol: Tolerances = TOL) -> tuple[np.ndarray, ChainReport]:
     """Dephase N uncorrelated systems with one shared noise ancilla.
 
@@ -371,28 +370,23 @@ def catalytic_chain(states: list[np.ndarray],
         raise PreconditionError("chain needs at least one system")
     states = [check_density_matrix(s, tol) for s in states]
     dims = [s.shape[0] for s in states]
-    if bases is None:
-        bases = [None] * len(states)
-    if len(bases) != len(states):
-        raise DimensionError("one basis per system required")
     m = ancilla_dim(max(dims))
     require_dim(math.prod(dims) * m, tol)
 
-    weyl_ops = weylops.weyl_basis(m).ops
+    weyl_ops = weylops.weyl_basis(m)
     joint = tensor(*states, np.eye(m, dtype=complex) / m)
     layout = tuple(dims) + (m,)
     n = len(states)
-    for i, (d_i, basis) in enumerate(zip(dims, bases)):
-        b = computational_or(basis, d_i)
-        u_i = controlled_basis_unitary(b, list(weyl_ops[:d_i]), tol)
+    for i, d_i in enumerate(dims):
+        u_i = controlled_basis_unitary(np.eye(d_i, dtype=complex), weyl_ops[:d_i], tol)
         full = embed_operator(u_i, layout, [i, n])
         joint = full @ joint @ full.conj().T
     joint = hermitize(joint)
 
     residuals = []
-    for i, (s, basis) in enumerate(zip(states, bases)):
+    for i, s in enumerate(states):
         marg = partial_trace(joint, layout, [i])
-        residuals.append(trace_norm(marg - pinch(s, basis)))
+        residuals.append(trace_norm(marg - pinch(s)))
     catalyst = partial_trace(joint, layout, [n])
     cat_res = trace_norm(catalyst - np.eye(m) / m)
     mi = np.zeros((n, n))

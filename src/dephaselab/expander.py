@@ -278,8 +278,9 @@ def theorem3_verify(spec: ExpanderSpec, rho: np.ndarray) -> ConvergenceReport:
                              fitted_decay=fitted)
 
 
-def _fit_decay(measured: list[float], floor: float = 1e-13) -> float:
-    ks = [k for k, v in enumerate(measured) if v > floor]
+def _fit_decay(measured: list[float]) -> float:
+    """Geometric decay rate fitted to the distances above the 1e-13 floor."""
+    ks = [k for k, v in enumerate(measured) if v > 1e-13]
     if len(ks) < 2:
         return 0.0
     logs = np.log([measured[k] for k in ks])

@@ -194,8 +194,7 @@ def pqc_encode(rho: np.ndarray, key: PqcKey | None = None, extension_dim: int = 
     return PqcState(joint=hermitize(joint), layout=layout)
 
 
-def pqc_decode(state: PqcState, key: PqcKey | None = None,
-               tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray]:
+def pqc_decode(state: PqcState) -> tuple[np.ndarray, np.ndarray]:
     """Bob's decoding; returns (message-and-extension state, key state).
 
     With no tampering the first equals the encoded input and the second has
@@ -320,7 +319,7 @@ class AuthenticationResult:
 
 
 def parity_authenticate(syn: Syndrome, rounds: int,
-                        rng: np.random.Generator | int = 0) -> AuthenticationResult:
+                        rng: np.random.Generator) -> AuthenticationResult:
     """Check r random-subset parities of the syndrome string, one ebit each.
 
     Subsets are uniform over all subsets of the bit positions, so every
@@ -330,8 +329,6 @@ def parity_authenticate(syn: Syndrome, rounds: int,
     """
     if rounds < 1:
         raise PreconditionError("need at least one authentication round")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     bits = np.asarray(syn.bits, dtype=int)
     parities = []
     for _ in range(rounds):
@@ -355,7 +352,7 @@ def run_transcript(rho: np.ndarray, err: PauliError | None = None,
     cipher = encoded.eavesdropper_view()
     cipher_dist = trace_norm(cipher - np.eye(4) / 4.0)
     transit = apply_pauli_error(encoded, err) if err is not None else encoded
-    msg, key_state = pqc_decode(transit, key, tol=tol)
+    msg, key_state = pqc_decode(transit)
     syn = extract_syndrome(key_state, tol)
     auth = parity_authenticate(syn, auth_rounds, np.random.default_rng(seed))
     if not syn.is_clean():

@@ -138,13 +138,12 @@ def stroboscopic_map(spec: RecurrenceSpec, rho: np.ndarray, k: int) -> np.ndarra
     return hermitize(rho * hadamard_coefficients(spec, k))
 
 
-def predicted_map(k: int, m: int, rho: np.ndarray,
-                  basis: np.ndarray | None = None) -> np.ndarray:
+def predicted_map(k: int, m: int, rho: np.ndarray) -> np.ndarray:
     """Idealized stroboscopic target: identity when k is a multiple of m,
     otherwise the full pinching."""
     if k % m == 0:
         return np.asarray(rho, dtype=complex)
-    return pinch(rho, basis)
+    return pinch(rho)
 
 
 def construction_predicted_map(spec: RecurrenceSpec, rho: np.ndarray,

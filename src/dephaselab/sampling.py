@@ -32,11 +32,9 @@ def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def random_density_matrix(d: int, rng: np.random.Generator,
-                          rank: int | None = None) -> np.ndarray:
-    """Full-rank (or fixed-rank) state from the Ginibre ensemble."""
-    k = d if rank is None else rank
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank state from the Ginibre ensemble."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return hermitize(rho / np.trace(rho).real)
 

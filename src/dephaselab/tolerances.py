@@ -50,9 +50,6 @@ class Tolerances:
     rank_rel_cutoff: float = 1e-9       # singular values below cutoff*max count as 0
     dim_cap: int = 4096                 # largest admissible joint dimension
 
-    def replace(self, **overrides: float | int) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
-
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 

@@ -19,12 +19,10 @@ Conventions, fixed once for the whole library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .qcore import InvariantViolation, PreconditionError
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 
 def weyl_family(m: int, r, s) -> np.ndarray:
@@ -85,39 +83,20 @@ def operator_gram(ops, sigma: np.ndarray | None = None) -> np.ndarray:
     return left @ stack.conj().T
 
 
-@dataclass(frozen=True)
-class UnitaryOperatorBasis:
-    """m^2 unitaries on an m-dimensional space, orthonormal under
-    (1/m) tr(U_i U_j†)."""
-
-    dim: int
-    ops: tuple = field(repr=False)
-    indices: tuple  # (r, s) label per operator, row-major
-
-    def __post_init__(self):
-        m = self.dim
-        if len(self.ops) != m * m:
-            raise InvariantViolation("operator basis must contain dim^2 elements")
-        gram = operator_gram(self.ops)
-        if np.max(np.abs(gram - np.eye(m * m))) > TOL.basis_gram:
-            raise InvariantViolation("operator basis is not trace-orthonormal")
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.ops[i]
-
-
-def weyl_basis(m: int) -> UnitaryOperatorBasis:
-    """The Weyl-Heisenberg unitary operator basis in row-major (r, s) order.
+def weyl_basis(m: int) -> np.ndarray:
+    """The (m^2, m, m) Weyl-Heisenberg unitary operator basis in row-major
+    (r, s) order, orthonormal under (1/m) tr(U_i U_j†).
 
     The first element is the identity, so taking any leading subset keeps
     orthonormality and contains 1.
     """
     r, s = np.divmod(np.arange(m * m), m)
-    return UnitaryOperatorBasis(dim=m, ops=tuple(weyl_family(m, r, s)),
-                                indices=tuple(zip(r.tolist(), s.tolist())))
+    ops = weyl_family(m, r, s)
+    if len(ops) != m * m:
+        raise InvariantViolation("operator basis must contain dim^2 elements")
+    if np.max(np.abs(operator_gram(ops) - np.eye(m * m))) > TOL.basis_gram:
+        raise InvariantViolation("operator basis is not trace-orthonormal")
+    return ops
 
 
 def computational_basis(d: int) -> np.ndarray:

@@ -216,7 +216,7 @@ class TestAcceptance:
         from dephaselab.qcore import fidelity
         for rng in spawn_rngs(SEED + 501, 50):
             rho = random_density_matrix(4, rng)
-            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, key), key)
+            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, key))
             worst_rel = max(worst_rel, trace_norm(msg - rho))
             worst_key = max(worst_key, 1.0 - fidelity(key_state, key_proj))
         # syndrome bijection and correction loop
@@ -227,7 +227,7 @@ class TestAcceptance:
         worst_corr = 0.0
         for bits in product(range(2), repeat=4):
             err = pqc.PauliError(*bits)
-            msg, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, err), key)
+            msg, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, err))
             syn = pqc.extract_syndrome(key_state)
             syndromes.add(syn.bits)
             if not syn.is_clean():

@@ -1,0 +1,42 @@
+"""Every module-level import in the package is used by its module.
+
+A statement marked ``# noqa: F401`` is exempt: it is kept for its side
+effect or for readers outside the module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dephaselab
+
+MODULES = sorted(Path(dephaselab.__file__).parent.glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in ln for ln in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:    # names re-exported through __all__
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path) == []

@@ -73,7 +73,7 @@ class TestReliability:
     def test_round_trip_random_states(self, rng):
         for _ in range(10):
             rho = random_density_matrix(4, rng)
-            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, KEY), KEY)
+            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, KEY))
             assert trace_norm(msg - rho) <= TOL.pqc_security
             kv = KEY.state_vector()
             assert fidelity(key_state, np.outer(kv, kv.conj())) >= 1.0 - TOL.pqc_fidelity
@@ -81,7 +81,7 @@ class TestReliability:
     def test_basis_state_exact(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0
-        msg, _ = pqc.pqc_decode(pqc.pqc_encode(rho, KEY), KEY)
+        msg, _ = pqc.pqc_decode(pqc.pqc_encode(rho, KEY))
         np.testing.assert_allclose(msg, rho, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ class TestPauliErrors:
 class TestSyndromes:
     def test_clean_key_gives_zero_syndrome(self, rng):
         rho = random_pure_state(4, rng)
-        _, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, KEY), KEY)
+        _, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, KEY))
         syn = pqc.extract_syndrome(key_state)
         assert syn.bits == (0, 0, 0, 0) and syn.is_clean()
 
@@ -120,7 +120,7 @@ class TestSyndromes:
         # tuple (1,0,0,0): first reported pair picks up a Z, second an X
         rho = random_pure_state(4, rng)
         enc = pqc.pqc_encode(rho, KEY)
-        _, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, pqc.PauliError(1, 0, 0, 0)), KEY)
+        _, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, pqc.PauliError(1, 0, 0, 0)))
         syn = pqc.extract_syndrome(key_state)
         assert syn.bits == (1, 0, 0, 1)
         assert pqc.BELL_LABELS[syn.bits[:2]] == "phi-"   # Z-shifted pair
@@ -132,7 +132,7 @@ class TestSyndromes:
         seen = set()
         for bits in product(range(2), repeat=4):
             err = pqc.PauliError(*bits)
-            _, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, err), KEY)
+            _, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, err))
             syn = pqc.extract_syndrome(key_state)
             assert syn.bits == pqc.syndrome_formula(err).bits
             assert pqc.error_from_syndrome(syn).as_tuple() == bits
@@ -145,7 +145,7 @@ class TestSyndromes:
             enc = pqc.pqc_encode(rho, KEY)
             for bits in product(range(2), repeat=4):
                 err = pqc.PauliError(*bits)
-                msg, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, err), KEY)
+                msg, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, err))
                 syn = pqc.extract_syndrome(key_state)
                 if not syn.is_clean():
                     corr = pqc.correction_operator(syn)
@@ -157,7 +157,7 @@ class TestSyndromes:
         enc = pqc.pqc_encode(rho, KEY)
         for z, x in ((0, 1), (1, 0), (1, 1)):
             err = pqc.PauliError(0, 0, z, x)
-            msg, _ = pqc.pqc_decode(pqc.apply_pauli_error(enc, err), KEY)
+            msg, _ = pqc.pqc_decode(pqc.apply_pauli_error(enc, err))
             p = err.operator()
             assert trace_norm(msg - p @ rho @ p.conj().T) <= 1e-10
 
@@ -171,7 +171,7 @@ class TestSyndromes:
                       np.eye(2, dtype=complex))
         op = embed_operator(rot, enc.layout, [0])
         tampered = pqc.PqcState(joint=op @ enc.joint @ op.conj().T, layout=enc.layout)
-        _, key_state = pqc.pqc_decode(tampered, KEY)
+        _, key_state = pqc.pqc_decode(tampered)
         with pytest.raises(pqc.IntegrityError):
             pqc.extract_syndrome(key_state)
 

@@ -153,7 +153,7 @@ def dense_decohere_pure_state(psi: np.ndarray, basis: np.ndarray | None = None):
     m = ancilla_dim(d)
     b = np.eye(d, dtype=complex) if basis is None else basis
     eye_m = np.eye(m, dtype=complex)
-    ops = [np.kron(op, eye_m) for op in weylops.weyl_basis(m).ops[:d]]
+    ops = [np.kron(op, eye_m) for op in weylops.weyl_basis(m)[:d]]
     vec = looped_controlled_basis_unitary(b, ops) @ np.kron(psi, entangled_pair_state(m))
     joint = np.outer(vec, vec.conj())
     return (hermitize(partial_trace(joint, (d, m, m), [0])),
@@ -168,7 +168,7 @@ def dense_measurement_process(psi: np.ndarray) -> np.ndarray:
     shifts = weylops.weyl_family(d, np.arange(d), 0)
     eye_m = np.eye(m, dtype=complex)
     gates = [np.kron(np.kron(x_i, op), eye_m)
-             for x_i, op in zip(shifts, weylops.weyl_basis(m).ops[:d])]
+             for x_i, op in zip(shifts, weylops.weyl_basis(m)[:d])]
     w = looped_controlled_basis_unitary(np.eye(d, dtype=complex), gates)
     pointer0 = np.zeros(d, dtype=complex)
     pointer0[0] = 1.0

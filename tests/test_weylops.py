@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dephaselab import weylops
-from dephaselab.qcore import PreconditionError
+from dephaselab.qcore import InvariantViolation, PreconditionError
 from dephaselab.tolerances import TOL
 
 
@@ -12,15 +12,21 @@ def tau(m: int) -> complex:
     return -np.exp(1j * np.pi / m)
 
 
-def expand_in_basis(basis: weylops.UnitaryOperatorBasis, a: np.ndarray) -> np.ndarray:
+def labels(m: int) -> list[tuple[int, int]]:
+    """The row-major (r, s) label of each element of ``weyl_basis(m)``."""
+    return [divmod(i, m) for i in range(m * m)]
+
+
+def expand_in_basis(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Coefficients c_i = (1/m) tr(U_i† a); a = sum_i c_i U_i."""
-    m = basis.dim
-    return np.array([np.trace(op.conj().T @ a) / m for op in basis.ops])
+    m = basis.shape[-1]
+    return np.array([np.trace(op.conj().T @ a) / m for op in basis])
 
 
-def resum_from_basis(basis: weylops.UnitaryOperatorBasis, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for c, op in zip(coeffs, basis.ops):
+def resum_from_basis(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    m = basis.shape[-1]
+    out = np.zeros((m, m), dtype=complex)
+    for c, op in zip(coeffs, basis):
         out += c * op
     return out
 
@@ -61,35 +67,47 @@ class TestWeylBasis:
         basis = weylops.weyl_basis(2)
         x, z = weylops.shift_x(2), weylops.clock_z(2)
         expected = [np.eye(2), z, x, tau(2) * x @ z]
-        for op, ref in zip(basis.ops, expected):
+        for op, ref in zip(basis, expected):
             np.testing.assert_allclose(op, ref, atol=1e-12)
         # the phased product is the Pauli Y up to a global phase
         y = np.array([[0, -1j], [1j, 0]])
-        overlap = abs(np.trace(basis.ops[3].conj().T @ y)) / 2
+        overlap = abs(np.trace(basis[3].conj().T @ y)) / 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_trace_orthonormality(self, m):
         basis = weylops.weyl_basis(m)
-        stack = np.stack([op.ravel() for op in basis.ops])
+        stack = np.stack([op.ravel() for op in basis])
         gram = stack @ stack.conj().T / m
         np.testing.assert_allclose(gram, np.eye(m * m), atol=TOL.basis_gram)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_trace_delta(self, m):
         basis = weylops.weyl_basis(m)
-        for (r, s), op in zip(basis.indices, basis.ops):
+        for (r, s), op in zip(labels(m), basis):
             want = m if (r, s) == (0, 0) else 0.0
             assert np.trace(op) == pytest.approx(want, abs=1e-12)
 
     def test_odd_prime_order(self):
         # every nontrivial element of the m=3 family has order exactly 3
         basis = weylops.weyl_basis(3)
-        for (r, s), op in zip(basis.indices, basis.ops):
+        for (r, s), op in zip(labels(3), basis):
             cube = np.linalg.matrix_power(op, 3)
             np.testing.assert_allclose(cube, np.eye(3), atol=1e-12)
             if (r, s) != (0, 0):
                 assert np.max(np.abs(op - np.eye(3))) > 0.5
+
+    def test_refuses_a_family_that_is_not_orthonormal(self, monkeypatch):
+        family = weylops.weyl_family
+
+        def scaled(m, r, s):
+            ops = family(m, r, s)
+            ops[1] *= 1.001
+            return ops
+
+        monkeypatch.setattr(weylops, "weyl_family", scaled)
+        with pytest.raises(InvariantViolation, match="operator basis is not trace-orthonormal"):
+            weylops.weyl_basis(3)
 
     def test_even_m_unphased_product_order(self):
         # repeated multiplication oracle: the bare product X Z has order 2m
