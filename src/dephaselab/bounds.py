@@ -25,21 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephaser import GramChannel, NoisyChannel, couple, pinch
+from .dephaser import GramChannel, NoisyChannel, couple, maximally_coherent_state, pinch
 from .qcore import PreconditionError, trace_norm, von_neumann_entropy
 from .sampling import random_pure_state, spawn_rngs
 from .tolerances import TOL, Tolerances
 
 #: Validity edge of the quantum bound's epsilon range.
 EPSILON_MAX = 1.0 / (6.0 * math.e)
-
-
-def maximally_coherent_state(d: int) -> np.ndarray:
-    """|A><A| with |A> the flat superposition; its pinch is maximally mixed."""
-    if d < 2:
-        raise PreconditionError("need dimension >= 2")
-    v = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    return np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)

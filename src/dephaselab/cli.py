@@ -26,8 +26,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import dephaser, expander, pqc, recurrence, reporting
-from .qcore import (DimensionError, PreconditionError, ResourceLimitError,
-                    partial_trace, tensor, trace_norm)  # noqa: F401 (perfbench/tests)
+from .qcore import (DimensionError, InvariantViolation, PreconditionError,
+                    ResourceLimitError, partial_trace, tensor,
+                    trace_norm)  # noqa: F401 (perfbench/tests)
 from .sampling import random_density_matrix, spawn_rngs
 from .tolerances import TOL, Tolerances
 
@@ -325,7 +326,7 @@ def cmd_pqc(args, tol: Tolerances) -> None:
 
 def cmd_expander(args, tol: Tolerances) -> None:
     spec = expander.ExpanderSpec(e=args.e, k=args.k)
-    rho = bounds_mod.maximally_coherent_state(spec.d)
+    rho = dephaser.maximally_coherent_state(spec.d)
     report = expander.theorem3_verify(spec, rho)
     if not report.satisfied():
         raise CheckFailure("measured distance exceeded the analytic envelope")
@@ -385,10 +386,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tol = _tol(args)
     except (OSError, ValueError) as exc:
-        parser.error(f"bad tolerance file: {exc}")
+        print(f"error: bad tolerance file: {exc}", file=sys.stderr)
+        return 2
     try:
         _COMMANDS[args.command](args, tol)
-    except CheckFailure as exc:
+    except (CheckFailure, InvariantViolation, pqc.IntegrityError) as exc:
+        # a tightened --tol-file can make an internal invariant fail
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (PreconditionError, DimensionError, ResourceLimitError) as exc:

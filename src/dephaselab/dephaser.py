@@ -82,6 +82,14 @@ def pinch(rho: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     return (b * diag) @ b.conj().T
 
 
+def maximally_coherent_state(d: int) -> np.ndarray:
+    """|A><A| with |A> the flat superposition; its pinch is maximally mixed."""
+    if d < 2:
+        raise PreconditionError("need dimension >= 2")
+    v = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    return np.outer(v, v.conj())
+
+
 @dataclass(frozen=True)
 class NoisyChannel:
     """A channel presented as a unitary dilation over a maximally mixed

@@ -22,6 +22,9 @@ from.
 
 Register layout used throughout: (S, E, A1, B1, A2, B2) where S is the
 4-dimensional message block and E an optional eavesdropper extension.
+``pqc_encode`` reads E from the state's dimension, and the key is always
+the two Bell pairs.  Two qubits is the exactly simulated block size; longer
+messages go in chunks of two qubits, one key block each.
 """
 
 from __future__ import annotations
@@ -65,28 +68,6 @@ def bell_state(z: int = 0, x: int = 0) -> np.ndarray:
 
 #: Two-bit encodings of the four Bell states, (z, x) order.
 BELL_LABELS = {(0, 0): "phi+", (0, 1): "psi+", (1, 0): "phi-", (1, 1): "psi-"}
-
-
-@dataclass(frozen=True)
-class PqcKey:
-    """n/2 Bell pairs per coupling layer; n = 2 is the exactly simulated
-    block size, larger even n is handled by running 2-qubit chunks."""
-
-    n: int = 2
-
-    def __post_init__(self):
-        if self.n != 2:
-            raise PreconditionError(
-                "the simulated block size is n = 2; send longer messages in "
-                "chunks of two qubits, one key block each")
-
-    @property
-    def message_dim(self) -> int:
-        return 2 ** self.n
-
-    def state_vector(self) -> np.ndarray:
-        """Key vector on (A1, B1, A2, B2)."""
-        return np.kron(bell_state(), bell_state())
 
 
 @dataclass(frozen=True)
@@ -144,8 +125,8 @@ def _layer(basis: np.ndarray, conjugate: bool, layout: tuple[int, ...],
 
 
 @lru_cache(maxsize=8)
-def _protocol_unitaries(e_dim: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """(encode, decode, layout) for message dim 4 and extension dim e_dim."""
+def _protocol_unitaries(e_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(encode, decode) for message dim 4 and extension dim e_dim."""
     layout = (4, e_dim, 2, 2, 2, 2)
     comp = np.eye(4, dtype=complex)
     had = np.kron(_H, _H)
@@ -153,19 +134,18 @@ def _protocol_unitaries(e_dim: int) -> tuple[np.ndarray, np.ndarray, tuple[int, 
     u_j = _layer(had, False, layout, 4)        # S with A2
     v_j = _layer(had, True, layout, 5)         # S with B2
     v_i = _layer(comp, True, layout, 3)        # S with B1
-    return u_j @ u_i, v_i @ v_j, layout
+    return u_j @ u_i, v_i @ v_j
 
 
 @dataclass(frozen=True)
 class PqcState:
-    """Joint state over (S, E, A1, B1, A2, B2) plus its layout."""
+    """Joint state over (S, E, A1, B1, A2, B2)."""
 
     joint: np.ndarray
-    layout: tuple[int, ...]
 
     @property
-    def extension_dim(self) -> int:
-        return self.layout[1]
+    def layout(self) -> tuple[int, ...]:
+        return (4, self.joint.shape[0] // 64, 2, 2, 2, 2)
 
     def message(self) -> np.ndarray:
         return hermitize(partial_trace(self.joint, self.layout, [0]))
@@ -178,20 +158,18 @@ class PqcState:
         return hermitize(partial_trace(self.joint, self.layout, [2, 3, 4, 5]))
 
 
-def pqc_encode(rho: np.ndarray, key: PqcKey | None = None, extension_dim: int = 1,
-               tol: Tolerances = TOL) -> PqcState:
-    """Encrypt; ``rho`` may live on S alone or on S (x) E with the given
-    extension dimension (the eavesdropper's side information)."""
-    key = key or PqcKey()
+def pqc_encode(rho: np.ndarray, *, tol: Tolerances = TOL) -> PqcState:
+    """Encrypt; ``rho`` lives on S (x) E, where the eavesdropper's side
+    information E has dimension ``rho.shape[0] // 4`` (1 for S alone)."""
     rho = check_density_matrix(rho, tol)
-    d = key.message_dim
-    if rho.shape[0] != d * extension_dim:
+    extension_dim, rest = divmod(rho.shape[0], 4)
+    if rest:
         raise DimensionError("state must live on the message (x) extension space")
-    u, _, layout = _protocol_unitaries(extension_dim)
-    kv = key.state_vector()
+    u, _ = _protocol_unitaries(extension_dim)
+    kv = np.kron(bell_state(), bell_state())          # key on (A1, B1, A2, B2)
     joint0 = np.kron(rho, np.outer(kv, kv.conj()))   # (S E) x (A1 B1 A2 B2)
     joint = u @ joint0 @ u.conj().T
-    return PqcState(joint=hermitize(joint), layout=layout)
+    return PqcState(joint=hermitize(joint))
 
 
 def pqc_decode(state: PqcState) -> tuple[np.ndarray, np.ndarray]:
@@ -200,17 +178,16 @@ def pqc_decode(state: PqcState) -> tuple[np.ndarray, np.ndarray]:
     With no tampering the first equals the encoded input and the second has
     unit fidelity with the initial Bell pairs.
     """
-    _, v, layout = _protocol_unitaries(state.extension_dim)
+    _, v = _protocol_unitaries(state.layout[1])
     joint = v @ state.joint @ v.conj().T
-    decoded = PqcState(joint=hermitize(joint), layout=layout)
-    se = hermitize(partial_trace(decoded.joint, layout, [0, 1]))
-    return se, decoded.key_state()
+    decoded = PqcState(joint=hermitize(joint))
+    return decoded.eavesdropper_view(), decoded.key_state()
 
 
 def apply_pauli_error(state: PqcState, err: PauliError) -> PqcState:
     """Tamper with the in-transit message block only."""
     op = embed_operator(err.operator(), state.layout, [0])
-    return PqcState(joint=op @ state.joint @ op.conj().T, layout=state.layout)
+    return PqcState(joint=op @ state.joint @ op.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +324,7 @@ def run_transcript(rho: np.ndarray, err: PauliError | None = None,
                    auth_rounds: int = 8, seed: int = 0,
                    tol: Tolerances = TOL) -> dict:
     """One full protocol round, reported as a JSON-ready dictionary."""
-    key = PqcKey()
-    encoded = pqc_encode(rho, key, tol=tol)
+    encoded = pqc_encode(rho, tol=tol)
     cipher = encoded.eavesdropper_view()
     cipher_dist = trace_norm(cipher - np.eye(4) / 4.0)
     transit = apply_pauli_error(encoded, err) if err is not None else encoded

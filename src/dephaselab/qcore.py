@@ -277,7 +277,7 @@ def schur_horn_unitary(spectrum: Sequence[float], target_diagonal: Sequence[floa
         raise DimensionError("spectrum and target must have equal length")
     if np.any(np.diff(lam) > tol.majorization):
         raise PreconditionError("spectrum must be sorted in descending order")
-    if abs(lam.sum() - tgt.sum()) > 1e-10:
+    if abs(lam.sum() - tgt.sum()) > tol.majorization:
         raise PreconditionError("spectrum and target must have equal sums")
     if not majorizes_spectra(lam, tgt, tol):
         raise PreconditionError("target diagonal is not majorized by the spectrum")

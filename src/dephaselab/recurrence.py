@@ -38,14 +38,13 @@ call, in numpy alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import weylops
-from .dephaser import controlled_basis_unitary, pinch
+from .dephaser import controlled_basis_unitary, maximally_coherent_state, pinch
 from .qcore import (
     PreconditionError,
     hermitize,
@@ -234,10 +233,6 @@ class TimeSweep:
         raise KeyError(f"t={t} not sampled")
 
 
-def maximally_coherent_vector(d: int) -> np.ndarray:
-    return np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-
-
 def continuous_coefficients(spec: RecurrenceSpec):
     """t -> C_t[a, b] = (1/m) tr(U_a^t U_b^{-t}); the continuous-time map
     rho -> tr_R[V^t (rho (x) I/m) V^{-t}] is rho -> rho * C_t elementwise.
@@ -271,8 +266,7 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
     for m in m_values:
         spec = RecurrenceSpec.for_ancilla(m)
         coefficients = continuous_coefficients(spec)
-        psi = maximally_coherent_vector(spec.d)
-        rho = np.outer(psi, psi.conj())
+        rho = maximally_coherent_state(spec.d)
         target = pinch(rho)
         grid = set(np.linspace(0.0, m, samples_per_period).tolist())
         grid.update(float(k) for k in range(m + 1))

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
+
+
+def _finite_real(value) -> bool:
+    """A JSON int or float that converts to a finite float (bools excluded)."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:             # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -55,13 +64,23 @@ class Tolerances:
 
     @classmethod
     def from_json(cls, path: str) -> "Tolerances":
-        """Load overrides from a JSON object; unknown keys are rejected."""
+        """Load overrides from a JSON object; unknown keys are rejected, and
+        so is any value that is not a finite real number (``dim_cap``: a
+        positive integer)."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("tolerance file must hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
+        for name, value in data.items():
+            if name == "dim_cap":
+                if type(value) is not int or value < 1:
+                    raise ValueError(f"dim_cap must be a positive integer: {value!r}")
+            elif not _finite_real(value):
+                raise ValueError(f"{name} must be a finite number: {value!r}")
         return cls(**data)
 
 

@@ -192,37 +192,36 @@ class TestAcceptance:
 
     def test_criterion_7_private_channel(self):
         t0 = time.perf_counter()
-        key = pqc.PqcKey()
         mixed = np.eye(4) / 4
         # security, including the maximally entangled extension
         worst_sec = 0.0
         vec = np.eye(4, dtype=complex).ravel() / 2.0
         ext = np.outer(vec, vec.conj())
-        enc = pqc.pqc_encode(ext, key, extension_dim=4)
+        enc = pqc.pqc_encode(ext)
         worst_sec = max(worst_sec, trace_norm(
             enc.eavesdropper_view() - tensor(mixed, np.eye(4) / 4)))
         for rng in spawn_rngs(SEED + 500, 20):
             v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             v /= np.linalg.norm(v)
             rho_se = np.outer(v, v.conj())
-            enc = pqc.pqc_encode(rho_se, key, extension_dim=2)
+            enc = pqc.pqc_encode(rho_se)
             rho_e = partial_trace(rho_se, (4, 2), [1])
             worst_sec = max(worst_sec, trace_norm(
                 enc.eavesdropper_view() - tensor(mixed, rho_e)))
         # reliability and catalytic key return
-        kv = key.state_vector()
+        kv = np.kron(pqc.bell_state(), pqc.bell_state())
         key_proj = np.outer(kv, kv.conj())
         worst_rel, worst_key = 0.0, 0.0
         from dephaselab.qcore import fidelity
         for rng in spawn_rngs(SEED + 501, 50):
             rho = random_density_matrix(4, rng)
-            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, key))
+            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho))
             worst_rel = max(worst_rel, trace_norm(msg - rho))
             worst_key = max(worst_key, 1.0 - fidelity(key_state, key_proj))
         # syndrome bijection and correction loop
         rng = spawn_rngs(SEED + 502, 1)[0]
         rho = random_density_matrix(4, rng)
-        enc = pqc.pqc_encode(rho, key)
+        enc = pqc.pqc_encode(rho)
         syndromes = set()
         worst_corr = 0.0
         for bits in product(range(2), repeat=4):

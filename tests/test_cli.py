@@ -212,6 +212,41 @@ class TestExitCodes:
         assert main(["dephase", "--d", "4", "--trials", "2",
                      "--tol-file", str(tol), "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("argv, text, code, prefix", [
+        (["dephase"], "5", 2, "error: bad tolerance file: "),
+        (["dephase"], "null", 2, "error: bad tolerance file: "),
+        (["dephase"], "[1e-9]", 2, "error: bad tolerance file: "),
+        (["dephase"], "{", 2, "error: bad tolerance file: "),
+        (["chain"], '{"dim_cap": "x"}', 2, "error: bad tolerance file: "),
+        (["bounds"], '{"dim_cap": "x"}', 2, "error: bad tolerance file: "),
+        (["bounds"], '{"dim_cap": 1e400}', 2, "error: bad tolerance file: "),
+        (["bounds"], '{"dim_cap": 4096.0}', 2, "error: bad tolerance file: "),
+        (["bounds"], '{"dim_cap": 0}', 2, "error: bad tolerance file: "),
+        (["dephase"], '{"dephasing_residual": NaN}', 2, "error: bad tolerance file: "),
+        (["dephase"], '{"dephasing_residual": true}', 2, "error: bad tolerance file: "),
+        (["dephase"], '{"dephasing_residual": 1e400}', 2, "error: bad tolerance file: "),
+        (["dephase"], '{"dephasing_residual": 1%s}' % ("0" * 400), 2,
+         "error: bad tolerance file: "),
+        (["dephase"], '{"no_such_field": 1}', 2, "error: bad tolerance file: "),
+        (["machine"], '{"trace_one": 0}', 1, "check failed: "),
+        (["transition", "--trials", "2"], '{"trace_one": 0}', 1, "check failed: "),
+        (["pqc"], '{"trace_one": 0}', 1, "check failed: "),
+        (["pqc"], '{"bell_match": 0}', 1, "check failed: "),
+    ], ids=["number", "null", "list", "truncated", "chain-cap-string", "bounds-cap-string",
+            "cap-inf", "cap-float", "cap-zero", "nan", "bool", "inf", "huge-int",
+            "unknown-name", "machine-trace", "transition-trace", "pqc-trace",
+            "pqc-bell-match"])
+    def test_tolerance_file_never_ends_in_a_traceback(self, argv, text, code, prefix,
+                                                      tmp_path, capsys):
+        tol = tmp_path / "tol.json"
+        tol.write_text(text)
+        out = tmp_path / "o"
+        assert main(argv + ["--tol-file", str(tol), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(prefix)
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["dephase", "--d", "1"], "dephasing needs system dimension >= 2"),
         (["recur", "--m", "4"], "recurrence construction requires odd m >= 3"),

@@ -14,6 +14,7 @@ from dephaselab.dephaser import (
     decohere_pure_state,
     machine_iterate,
     machine_step,
+    maximally_coherent_state,
     measurement_process,
     pinch,
     transition_channel,
@@ -213,6 +214,18 @@ class TestCatalyticChain:
         assert report.catalyst_residual <= TOL.chain_residual
         mi = report.mutual_information
         assert mi[0, 1] > 1e-4 and mi[1, 2] > 1e-4 and mi[0, 2] > 1e-4
+
+    def test_maximally_coherent_middle_system_decorrelates_its_neighbours(self, rng):
+        # d = m^2: the middle system's E_k on the catalyst is the full twirl,
+        # which is completely depolarizing, so systems 1 and 3 share nothing
+        first, middle, last = (random_pure_state(4, rng) for _ in range(3))
+        _, report = catalytic_chain([first, maximally_coherent_state(4), last])
+        mi = report.mutual_information
+        assert mi[0, 2] <= TOL.entropy_slack
+        assert mi[0, 1] > 0.1 and mi[1, 2] > 0.1
+        # a generic middle system leaves the outer pair correlated
+        _, report = catalytic_chain([first, middle, last])
+        assert report.mutual_information[0, 2] > 0.1
 
     def test_mixed_dimensions(self, rng):
         states = [random_density_matrix(2, rng), random_density_matrix(4, rng)]

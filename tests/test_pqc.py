@@ -7,21 +7,16 @@ import numpy as np
 import pytest
 
 from dephaselab import pqc
-from dephaselab.qcore import fidelity, partial_trace, tensor, trace_norm
+from dephaselab.qcore import DimensionError, fidelity, partial_trace, tensor, trace_norm
 from dephaselab.sampling import random_density_matrix, random_pure_state, spawn_rngs
 from dephaselab.tolerances import TOL
 
-KEY = pqc.PqcKey()
 MIXED_4 = np.eye(4, dtype=complex) / 4
 
 
 class TestKey:
-    def test_block_size_fixed(self):
-        with pytest.raises(Exception):
-            pqc.PqcKey(n=4)
-
     def test_key_state_is_two_bell_pairs(self):
-        kv = KEY.state_vector()
+        kv = np.kron(pqc.bell_state(), pqc.bell_state())
         assert kv.shape == (16,)
         rho = np.outer(kv, kv.conj())
         for pair in ([0, 1], [2, 3]):
@@ -40,20 +35,20 @@ class TestKey:
 
 class TestSecurity:
     def test_maximally_mixed_input(self):
-        enc = pqc.pqc_encode(MIXED_4, KEY)
+        enc = pqc.pqc_encode(MIXED_4)
         assert trace_norm(enc.message() - MIXED_4) <= TOL.pqc_security
 
     def test_random_pure_inputs(self, rng):
         for _ in range(10):
             rho = random_pure_state(4, rng)
-            enc = pqc.pqc_encode(rho, KEY)
+            enc = pqc.pqc_encode(rho)
             assert trace_norm(enc.message() - MIXED_4) <= TOL.pqc_security
 
     def test_entangled_extension(self, rng):
         # Eve holds a purifying system; her joint view carries no signal
         vec = np.eye(4, dtype=complex).ravel() / 2.0
         rho_se = np.outer(vec, vec.conj())
-        enc = pqc.pqc_encode(rho_se, KEY, extension_dim=4)
+        enc = pqc.pqc_encode(rho_se)
         eve = enc.eavesdropper_view()
         rho_e = partial_trace(rho_se, (4, 4), [1])
         assert trace_norm(eve - tensor(MIXED_4, rho_e)) <= TOL.pqc_security
@@ -63,37 +58,52 @@ class TestSecurity:
             vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             vec /= np.linalg.norm(vec)
             rho_se = np.outer(vec, vec.conj())
-            enc = pqc.pqc_encode(rho_se, KEY, extension_dim=2)
+            enc = pqc.pqc_encode(rho_se)
             rho_e = partial_trace(rho_se, (4, 2), [1])
             assert trace_norm(enc.eavesdropper_view() - tensor(MIXED_4, rho_e)) \
                 <= TOL.pqc_security
+
+
+class TestEncodeInput:
+    def test_extension_is_read_from_the_dimension(self):
+        enc = pqc.pqc_encode(np.eye(12, dtype=complex) / 12)
+        assert enc.layout == (4, 3, 2, 2, 2, 2)
+        assert enc.joint.shape == (192, 192)
+
+    def test_dimension_not_a_multiple_of_four_is_refused(self):
+        with pytest.raises(DimensionError, match=r"message \(x\) extension space"):
+            pqc.pqc_encode(np.eye(6, dtype=complex) / 6)
+
+    def test_tolerances_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            pqc.pqc_encode(MIXED_4, TOL)
 
 
 class TestReliability:
     def test_round_trip_random_states(self, rng):
         for _ in range(10):
             rho = random_density_matrix(4, rng)
-            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, KEY))
+            msg, key_state = pqc.pqc_decode(pqc.pqc_encode(rho))
             assert trace_norm(msg - rho) <= TOL.pqc_security
-            kv = KEY.state_vector()
+            kv = np.kron(pqc.bell_state(), pqc.bell_state())
             assert fidelity(key_state, np.outer(kv, kv.conj())) >= 1.0 - TOL.pqc_fidelity
 
     def test_basis_state_exact(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0
-        msg, _ = pqc.pqc_decode(pqc.pqc_encode(rho, KEY))
+        msg, _ = pqc.pqc_decode(pqc.pqc_encode(rho))
         np.testing.assert_allclose(msg, rho, atol=1e-12)
 
 
 class TestPauliErrors:
     def test_trivial_error(self, rng):
         rho = random_pure_state(4, rng)
-        enc = pqc.pqc_encode(rho, KEY)
+        enc = pqc.pqc_encode(rho)
         same = pqc.apply_pauli_error(enc, pqc.PauliError(0, 0, 0, 0))
         np.testing.assert_allclose(same.joint, enc.joint, atol=1e-14)
 
     def test_all_sixteen_distinct(self, rng):
-        enc = pqc.pqc_encode(random_pure_state(4, rng), KEY)
+        enc = pqc.pqc_encode(random_pure_state(4, rng))
         tampered = [pqc.apply_pauli_error(enc, pqc.PauliError(*bits)).joint
                     for bits in product(range(2), repeat=4)]
         for i in range(16):
@@ -112,14 +122,14 @@ class TestPauliErrors:
 class TestSyndromes:
     def test_clean_key_gives_zero_syndrome(self, rng):
         rho = random_pure_state(4, rng)
-        _, key_state = pqc.pqc_decode(pqc.pqc_encode(rho, KEY))
+        _, key_state = pqc.pqc_decode(pqc.pqc_encode(rho))
         syn = pqc.extract_syndrome(key_state)
         assert syn.bits == (0, 0, 0, 0) and syn.is_clean()
 
     def test_specific_error_lands_on_predicted_bells(self, rng):
         # tuple (1,0,0,0): first reported pair picks up a Z, second an X
         rho = random_pure_state(4, rng)
-        enc = pqc.pqc_encode(rho, KEY)
+        enc = pqc.pqc_encode(rho)
         _, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, pqc.PauliError(1, 0, 0, 0)))
         syn = pqc.extract_syndrome(key_state)
         assert syn.bits == (1, 0, 0, 1)
@@ -128,7 +138,7 @@ class TestSyndromes:
 
     def test_table_matches_closed_form_and_is_bijective(self, rng):
         rho = random_pure_state(4, rng)
-        enc = pqc.pqc_encode(rho, KEY)
+        enc = pqc.pqc_encode(rho)
         seen = set()
         for bits in product(range(2), repeat=4):
             err = pqc.PauliError(*bits)
@@ -142,7 +152,7 @@ class TestSyndromes:
     def test_correction_recovers_message(self, rng):
         for _ in range(3):
             rho = random_density_matrix(4, rng)
-            enc = pqc.pqc_encode(rho, KEY)
+            enc = pqc.pqc_encode(rho)
             for bits in product(range(2), repeat=4):
                 err = pqc.PauliError(*bits)
                 msg, key_state = pqc.pqc_decode(pqc.apply_pauli_error(enc, err))
@@ -154,7 +164,7 @@ class TestSyndromes:
 
     def test_first_qubit_errors_pass_through(self, rng):
         rho = random_density_matrix(4, rng)
-        enc = pqc.pqc_encode(rho, KEY)
+        enc = pqc.pqc_encode(rho)
         for z, x in ((0, 1), (1, 0), (1, 1)):
             err = pqc.PauliError(0, 0, z, x)
             msg, _ = pqc.pqc_decode(pqc.apply_pauli_error(enc, err))
@@ -164,13 +174,13 @@ class TestSyndromes:
     def test_non_pauli_tampering_raises(self, rng):
         from dephaselab.qcore import embed_operator
         rho = random_pure_state(4, rng)
-        enc = pqc.pqc_encode(rho, KEY)
+        enc = pqc.pqc_encode(rho)
         theta = 0.3
         rot = np.kron(np.array([[np.cos(theta), -np.sin(theta)],
                                 [np.sin(theta), np.cos(theta)]], dtype=complex),
                       np.eye(2, dtype=complex))
         op = embed_operator(rot, enc.layout, [0])
-        tampered = pqc.PqcState(joint=op @ enc.joint @ op.conj().T, layout=enc.layout)
+        tampered = pqc.PqcState(joint=op @ enc.joint @ op.conj().T)
         _, key_state = pqc.pqc_decode(tampered)
         with pytest.raises(pqc.IntegrityError):
             pqc.extract_syndrome(key_state)

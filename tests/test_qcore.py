@@ -30,7 +30,7 @@ from dephaselab.sampling import (
     random_majorized_spectrum,
     random_pure_state,
 )
-from dephaselab.tolerances import TOL
+from dephaselab.tolerances import TOL, Tolerances
 
 
 class TestTensor:
@@ -254,6 +254,13 @@ class TestSchurHorn:
     def test_majorization_precondition(self):
         with pytest.raises(PreconditionError):
             schur_horn_unitary([0.6, 0.4], [0.8, 0.2])
+
+    def test_equal_sum_slack_is_the_majorization_tolerance(self):
+        # the total is the last partial sum, so it gets the same slack
+        lam, tgt = [0.6, 0.4], [0.5, 0.5 - 5e-11]
+        schur_horn_unitary(lam, tgt)
+        with pytest.raises(PreconditionError, match="equal sums"):
+            schur_horn_unitary(lam, tgt, Tolerances(majorization=1e-11))
 
     def test_large_dimension(self, rng):
         n = 128

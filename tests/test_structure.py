@@ -41,6 +41,7 @@ from dephaselab.dephaser import (
     decohere_pure_state,
     dephasing_ops,
     gram_channel,
+    maximally_coherent_state,
     measurement_process,
 )
 from dephaselab.qcore import (
@@ -221,8 +222,7 @@ def unmirrored_fig3_sweep(m: int, samples: int) -> list[tuple[float, float, floa
     """The fig3 sweep with every grid point evaluated, none copied from m - t."""
     spec = rec.RecurrenceSpec.for_ancilla(m)
     coefficients = rec.continuous_coefficients(spec)
-    psi = rec.maximally_coherent_vector(spec.d)
-    rho = np.outer(psi, psi.conj())
+    rho = maximally_coherent_state(spec.d)
     target = np.diag(np.diagonal(rho))
     grid = set(np.linspace(0.0, m, samples).tolist())
     grid.update(float(k) for k in range(m + 1))
@@ -340,8 +340,7 @@ class TestBlockContinuousTime:
         spec = rec.RecurrenceSpec.for_ancilla(m)
         dense = rec.ContinuousEvolver(rec.recurrence_unitary(spec), spec.d, spec.m)
         coefficients = rec.continuous_coefficients(spec)
-        psi = rec.maximally_coherent_vector(spec.d)
-        rho = np.outer(psi, psi.conj())
+        rho = maximally_coherent_state(spec.d)
         target = np.diag(np.diagonal(rho))
         for t, dist_trace, dist_two in rec.fig3_sweep([m], samples_per_period=8)[m].points:
             want = dense.reduced_state(rho, t)
