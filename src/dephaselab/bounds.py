@@ -55,8 +55,7 @@ def default_probes(d: int, seed: int = 0) -> list[np.ndarray]:
 
 
 def measure_epsilon(channel: GramChannel | NoisyChannel,
-                    probes: list[np.ndarray] | None = None,
-                    tol: Tolerances = TOL) -> EpsilonDephasingReport:
+                    probes: list[np.ndarray] | None = None) -> EpsilonDephasingReport:
     """Worst-case trace-norm residual against the pinching over the probes."""
     if probes is None:
         probes = default_probes(channel.dim)

@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import dephaser, expander, pqc, recurrence, reporting
 from .qcore import (DimensionError, InvariantViolation, PreconditionError,
-                    ResourceLimitError, partial_trace, tensor,
+                    ResourceLimitError, partial_trace, require_dim, tensor,
                     trace_norm)  # noqa: F401 (perfbench/tests)
 from .sampling import random_density_matrix, spawn_rngs
 from .tolerances import TOL, Tolerances
@@ -152,6 +152,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         parser.error(f"unknown config fields: {sorted(unknown)}")
     defaults = {}
     for key, val in data.items():
+        if val is None:    # null keeps the flag's default
+            continue
         if flags[key].nargs == 0:
             if not isinstance(val, bool):
                 parser.error(f"config field {key!r} must be true or false")
@@ -177,6 +179,7 @@ def _tol(args) -> Tolerances:
 
 def cmd_dephase(args, tol: Tolerances) -> None:
     d = args.d
+    require_dim(d, tol)
     ops = dephaser.dephasing_ops(d)
     m = dephaser.ancilla_dim(d)
     eye_m = np.eye(m, dtype=complex) / m
@@ -257,8 +260,9 @@ def cmd_chain(args, tol: Tolerances) -> None:
 
 
 def cmd_machine(args, tol: Tolerances) -> None:
-    rng_rho, rng_sigma = spawn_rngs(args.seed, 2)
     d = args.d
+    require_dim(d, tol)
+    rng_rho, rng_sigma = spawn_rngs(args.seed, 2)
     m = dephaser.ancilla_dim(d)
     rho = random_density_matrix(d, rng_rho)
     sigma = random_density_matrix(m, rng_sigma)
@@ -275,6 +279,7 @@ def cmd_machine(args, tol: Tolerances) -> None:
 
 
 def cmd_recur(args, tol: Tolerances) -> None:
+    require_dim(args.m ** 2, tol)
     spec = recurrence.RecurrenceSpec.for_ancilla(args.m)
     kmax = args.kmax if args.kmax is not None else 2 * spec.m
     rng = spawn_rngs(args.seed, 1)[0]
@@ -297,6 +302,7 @@ def cmd_recur(args, tol: Tolerances) -> None:
 
 
 def cmd_fig3(args, tol: Tolerances) -> None:
+    require_dim(max(args.m) ** 2, tol)
     sweeps = recurrence.fig3_sweep(args.m, args.samples)
     prefix = args.out if args.out else "fig3"
     meta_base = reporting.metadata("fig3", args.seed, tol, args.deterministic)
@@ -325,6 +331,7 @@ def cmd_pqc(args, tol: Tolerances) -> None:
 
 
 def cmd_expander(args, tol: Tolerances) -> None:
+    require_dim(args.e ** 2, tol)
     spec = expander.ExpanderSpec(e=args.e, k=args.k)
     rho = dephaser.maximally_coherent_state(spec.d)
     report = expander.theorem3_verify(spec, rho)
@@ -342,8 +349,8 @@ def cmd_bounds(args, tol: Tolerances) -> None:
     quantum = dephaser.gram_channel(d, "quantum", tol)
     classical = dephaser.gram_channel(d, "classical", tol)
     probes = bounds_mod.default_probes(d, seed=args.seed)
-    rep_q = bounds_mod.measure_epsilon(quantum, probes=probes, tol=tol)
-    rep_c = bounds_mod.measure_epsilon(classical, probes=probes, tol=tol)
+    rep_q = bounds_mod.measure_epsilon(quantum, probes=probes)
+    rep_c = bounds_mod.measure_epsilon(classical, probes=probes)
     if max(rep_q.epsilon_measured, rep_c.epsilon_measured) > tol.dephasing_residual:
         raise CheckFailure("a constructed channel is not exactly dephasing")
     bound_q = bounds_mod.quantum_lower_bound(d, eps)

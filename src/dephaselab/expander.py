@@ -2,22 +2,23 @@
 
 A state on d = e^2 dimensions (d odd) maps to its discrete Wigner function,
 a real d x d array over phase-space points (p, q).  Each fixed-q column is
-read as an e x e integer lattice on which the eight Margulis affine maps
-act; averaging over the eight pulled-back copies is one step of a classical
-expander walk applied to every column simultaneously.  The walk preserves
-column sums (hence the state's diagonal), fixes column-constant functions
-(hence pinched states), and contracts everything else by 5*sqrt(2)/8 per
-step in the 2-norm.  Because the Wigner transform is an isometry for the
-Hilbert-Schmidt norm, the induced channel converges to the pinching map
-exponentially fast in the number of steps while consuming only three bits
-of randomness per step.
+read as an e x e integer lattice Z_e^2.  The Margulis walk on it is one
+integer gather table, eight rows of images: (a+2b, b), (a, b+2a),
+(a+2b+1, b), (a, b+2a+1) and their inverses (a-2b, b), (a, b-2a),
+(a-2b-1, b), (a, b-2a-1), all mod e.  Averaging the eight gathered copies
+is one step of the walk, applied to every column simultaneously.  The
+walk preserves column sums (hence the state's diagonal), fixes
+column-constant functions (hence pinched states), and contracts everything
+else by 5*sqrt(2)/8 per step in the 2-norm.  Because the Wigner transform
+is an isometry for the Hilbert-Schmidt norm, the induced channel converges
+to the pinching map exponentially fast in the number of steps while
+consuming only three bits of randomness per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,67 +29,21 @@ CONTRACTION_FACTOR = 5.0 * math.sqrt(2.0) / 8.0
 
 
 # ---------------------------------------------------------------------------
-# Margulis maps and the classical walk
+# The Margulis walk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineMap:
-    """v -> linear v + offset over Z_e^2, with det(linear) = 1 mod e."""
-
-    linear: tuple[tuple[int, int], tuple[int, int]]
-    offset: tuple[int, int]
-    modulus: int
-
-    def __post_init__(self):
-        (a, b), (c, d) = self.linear
-        if (a * d - b * c) % self.modulus != 1 % self.modulus:
-            raise PreconditionError("affine map must have unit determinant")
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map an array of points with shape (2, ...) componentwise mod e."""
-        lin = np.asarray(self.linear, dtype=np.int64)
-        off = np.asarray(self.offset, dtype=np.int64).reshape(2, *([1] * (points.ndim - 1)))
-        return (np.tensordot(lin, points, axes=(1, 0)) + off) % self.modulus
-
-    def inverse(self) -> "AffineMap":
-        (a, b), (c, d) = self.linear
-        e = self.modulus
-        inv = ((d % e, -b % e), (-c % e, a % e))  # adjugate; det = 1
-        lin = np.asarray(inv, dtype=np.int64)
-        off = tuple((-lin @ np.asarray(self.offset)) % e)
-        return AffineMap(linear=inv, offset=(int(off[0]), int(off[1])), modulus=e)
-
-
-def margulis_maps(e: int) -> list[AffineMap]:
-    """The four forward shear maps and their four inverses on Z_e^2."""
-    if e < 2:
-        raise PreconditionError("lattice size must be >= 2")
-    t1 = ((1, 2), (0, 1))
-    t2 = ((1, 0), (2, 1))
-    forward = [
-        AffineMap(t1, (0, 0), e),
-        AffineMap(t2, (0, 0), e),
-        AffineMap(t1, (1, 0), e),
-        AffineMap(t2, (0, 1), e),
-    ]
-    return forward + [f.inverse() for f in forward]
-
-
-@lru_cache(maxsize=None)
 def _walk_indices(e: int) -> np.ndarray:
-    """Gather table: row i holds flat(f_i(v)) for every flat point v.
-
-    Points (a, b) flatten as a*e + b.  The map family is closed under
-    inverses, so gathering through the maps themselves realizes the
+    """Gather table: row i holds the flat image a*e + b of every flat point
+    (a, b) under map i, and row 4 + i inverts row i.  The family is closed
+    under inverses, so gathering through the maps themselves realizes the
     pull-back average that defines the walk.
     """
-    pts = np.stack(np.meshgrid(np.arange(e), np.arange(e), indexing="ij"))
-    pts = pts.reshape(2, e * e)
-    rows = []
-    for f in margulis_maps(e):
-        img = f.apply(pts)
-        rows.append(img[0] * e + img[1])
-    return np.stack(rows)
+    if e < 2:
+        raise PreconditionError("lattice size must be >= 2")
+    a, b = np.divmod(np.arange(e * e), e)
+    images = [(a + 2 * b, b), (a, b + 2 * a), (a + 2 * b + 1, b), (a, b + 2 * a + 1),
+              (a - 2 * b, b), (a, b - 2 * a), (a - 2 * b - 1, b), (a, b - 2 * a - 1)]
+    return np.stack([(x % e) * e + y % e for x, y in images])
 
 
 def walk_apply(values: np.ndarray, e: int) -> np.ndarray:
@@ -97,11 +52,7 @@ def walk_apply(values: np.ndarray, e: int) -> np.ndarray:
     This single code path serves both the classical distribution step and
     the per-column action of the quantum channel, so the two agree exactly.
     """
-    idx = _walk_indices(e)
-    acc = values[idx[0]].astype(float, copy=True) if values.ndim == 1 else values[idx[0]].copy()
-    for row in idx[1:]:
-        acc += values[row]
-    return acc / 8.0
+    return values[_walk_indices(e)].sum(axis=0) / 8.0
 
 
 def classical_step(p: np.ndarray) -> np.ndarray:

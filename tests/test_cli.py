@@ -260,11 +260,43 @@ class TestExitCodes:
          "joint dimension 4097 exceeds the configured cap 4096"),
         (["bounds", "--d", "4097"],
          "joint dimension 4097 exceeds the configured cap 4096"),
+        (["dephase", "--d", "4097", "--trials", "1"],
+         "joint dimension 4097 exceeds the configured cap 4096"),
+        (["machine", "--d", "4097"],
+         "joint dimension 4097 exceeds the configured cap 4096"),
+        (["recur", "--m", "65"],
+         "joint dimension 4225 exceeds the configured cap 4096"),
+        (["fig3", "--m", "3,65"],
+         "joint dimension 4225 exceeds the configured cap 4096"),
+        (["expander", "--e", "65"],
+         "joint dimension 4225 exceeds the configured cap 4096"),
     ])
     def test_precondition_and_cap_errors_are_two(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "o").exists()
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, dim", [
+        (["dephase", "--d", "16"], 16),
+        (["machine", "--d", "16"], 16),
+        (["recur", "--m", "5"], 25),
+        (["fig3", "--m", "5"], 25),
+        (["expander", "--e", "5"], 25),
+        (["transition", "--d", "16"], 16),
+        (["classical-dephase", "--d", "16"], 16),
+        (["bounds", "--d", "16"], 16),
+        (["chain"], 16),
+    ], ids=["dephase", "machine", "recur", "fig3", "expander", "transition",
+            "classical-dephase", "bounds", "chain"])
+    def test_every_command_checks_a_lowered_cap(self, argv, dim, tmp_path, capsys):
+        tol = tmp_path / "tol.json"
+        tol.write_text(json.dumps({"dim_cap": 10}))
+        out = tmp_path / "o"
+        assert main(argv + ["--tol-file", str(tol), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: joint dimension {dim} exceeds the configured cap 10"]
+        assert not list(tmp_path.glob("o*"))
 
     @pytest.mark.parametrize("argv, flag", [
         (["dephase", "--trials", "-1"], "--trials"),
@@ -339,6 +371,21 @@ class TestExitCodes:
                      "--out", str(out), "--deterministic"]) == 0
         lines = payload_lines(out)
         assert len(lines) == 2 and lines[1].startswith("3,0,")
+
+    def test_null_config_value_keeps_the_default_output_name(self, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": None, "trials": 1}))
+        assert main(["--config", "cfg.json", "dephase", "--d", "3"]) == 0
+        assert (tmp_path / "dephase.csv").exists()
+        assert not (tmp_path / "None").exists()
+
+    def test_null_kmax_in_config_keeps_the_two_m_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"kmax": None, "m": 3, "out": str(out)}))
+        assert main(["--config", str(cfg), "recur", "--deterministic"]) == 0
+        assert len(payload_lines(out)) == 1 + 2 * 3
 
     def test_config_list_values_reach_list_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

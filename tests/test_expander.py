@@ -1,5 +1,5 @@
-"""Margulis maps, the classical lattice walk, the discrete Wigner transform,
-and the phase-space dephasing channel."""
+"""The Margulis gather table, the classical lattice walk, the discrete Wigner
+transform, and the phase-space dephasing channel."""
 
 import numpy as np
 import pytest
@@ -37,42 +37,54 @@ def phase_point_operator(d: int, p: int, q: int) -> np.ndarray:
     return w @ weylops.parity_operator(d) @ w.conj().T
 
 
+def oracle_walk_indices(e: int) -> np.ndarray:
+    """The four (linear, offset) shear maps as integer matrices applied to
+    every lattice point mod e, then their adjugate inverses, flattened."""
+    pts = lattice_points(e)
+    t1, t2 = np.array([[1, 2], [0, 1]]), np.array([[1, 0], [2, 1]])
+    forward = [(t1, np.array([0, 0])), (t2, np.array([0, 0])),
+               (t1, np.array([1, 0])), (t2, np.array([0, 1]))]
+    inverses = []
+    for lin, off in forward:
+        (a, b), (c, d) = lin
+        adj = np.array([[d, -b], [-c, a]])    # det = 1
+        inverses.append((adj, -adj @ off))
+    rows = []
+    for lin, off in forward + inverses:
+        img = (lin @ pts + off[:, None]) % e
+        rows.append(img[0] * e + img[1])
+    return np.stack(rows)
+
+
 class TestMargulisMaps:
     def test_count_and_determinants(self):
-        maps = ex.margulis_maps(5)
-        assert len(maps) == 8
+        assert ex._walk_indices(5).shape == (8, 25)
 
     def test_examples_at_origin(self):
-        maps = ex.margulis_maps(3)
-        np.testing.assert_array_equal(maps[0].apply(np.array([0, 0])), [0, 0])
-        np.testing.assert_array_equal(maps[2].apply(np.array([0, 0])), [1, 0])
-        np.testing.assert_array_equal(maps[3].apply(np.array([0, 0])), [0, 1])
+        assert ex._walk_indices(3)[:4, 0].tolist() == [0, 0, 3, 1]
 
     def test_shear_action(self):
-        maps = ex.margulis_maps(5)
-        v = np.array([1, 2])
-        np.testing.assert_array_equal(maps[0].apply(v), [(1 + 4) % 5, 2])
-        np.testing.assert_array_equal(maps[1].apply(v), [1, (2 + 2) % 5])
+        idx = ex._walk_indices(5)
+        v = 1 * 5 + 2
+        assert idx[0, v] == ((1 + 4) % 5) * 5 + 2
+        assert idx[1, v] == 1 * 5 + (2 + 2) % 5
 
     def test_forward_inverse_composition(self):
         e = 5
-        maps = ex.margulis_maps(e)
-        pts = lattice_points(e)
+        idx = ex._walk_indices(e)
+        flat = np.arange(e * e)
         for i in range(4):
-            np.testing.assert_array_equal(maps[4 + i].apply(maps[i].apply(pts)), pts)
-            np.testing.assert_array_equal(maps[i].apply(maps[4 + i].apply(pts)), pts)
+            np.testing.assert_array_equal(idx[4 + i][idx[i]], flat)
+            np.testing.assert_array_equal(idx[i][idx[4 + i]], flat)
 
     @pytest.mark.parametrize("e", [3, 5, 7])
     def test_each_map_is_a_permutation(self, e):
-        pts = lattice_points(e)
-        for f in ex.margulis_maps(e):
-            img = f.apply(pts)
-            flat = img[0] * e + img[1]
-            assert len(set(flat.tolist())) == e * e
+        for row in ex._walk_indices(e):
+            assert len(set(row.tolist())) == e * e
 
-    def test_unit_determinant_enforced(self):
-        with pytest.raises(PreconditionError):
-            ex.AffineMap(((2, 0), (0, 1)), (0, 0), 5)
+    @pytest.mark.parametrize("e", range(2, 16))
+    def test_matches_matrix_oracle(self, e):
+        np.testing.assert_array_equal(ex._walk_indices(e), oracle_walk_indices(e))
 
 
 class TestClassicalWalk:
@@ -118,6 +130,10 @@ class TestClassicalWalk:
     def test_rejects_non_distribution(self):
         with pytest.raises(PreconditionError):
             ex.classical_step(np.array([0.5, 0.6, 0.0, 0.0]))
+
+    def test_rejects_one_point_lattice(self):
+        with pytest.raises(PreconditionError):
+            ex.classical_step(np.array([1.0]))
 
 
 class TestWignerTransform:

@@ -1,7 +1,9 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every function parameter is read by its function.
 
-A statement marked ``# noqa: F401`` is exempt: it is kept for its side
-effect or for readers outside the module.
+An import statement marked ``# noqa: F401`` is exempt: it is kept for its
+side effect or for readers outside the module.  ``self`` and ``cls`` are
+exempt from the parameter gate.
 """
 
 import ast
@@ -40,3 +42,21 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_module_level_import(path):
     assert unused_imports(path) == []
+
+
+def unread_parameters(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {node.name}({p.arg})" for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert [u for path in MODULES for u in unread_parameters(path)] == []
