@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dephaser import GramChannel, NoisyChannel, couple, maximally_coherent_state, pinch
-from .qcore import PreconditionError, trace_norm, von_neumann_entropy
+from .qcore import PreconditionError, hermitize, trace_norm, von_neumann_entropy
 from .sampling import random_pure_state, spawn_rngs
 from .tolerances import TOL, Tolerances
 
@@ -59,7 +59,8 @@ def measure_epsilon(channel: GramChannel | NoisyChannel,
     """Worst-case trace-norm residual against the pinching over the probes."""
     if probes is None:
         probes = default_probes(channel.dim)
-    eps = max(trace_norm(channel.apply(rho) - pinch(rho)) for rho in probes)
+    # probe diagonals keep imaginary parts near 1e-19: hermitized, the norm takes eigvalsh
+    eps = max(trace_norm(hermitize(channel.apply(rho) - pinch(rho))) for rho in probes)
     kind = "classical" if channel.kind == "classical-mixture" else "quantum"
     return EpsilonDephasingReport(dim=channel.dim, noise_dim=channel.noise_dim,
                                   kind=kind, epsilon_measured=eps)

@@ -18,6 +18,7 @@ config values and unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,16 @@ from .tolerances import TOL, Tolerances
 
 class CheckFailure(Exception):
     """A verification inequality did not hold."""
+
+
+#: Matrix entries per stack of trials (16 MiB of complex128): d >= 1024 runs one at a time.
+_CHUNK_ENTRIES = 2 ** 20
+
+
+def _trial_chunks(seed: int, trials: int, d: int) -> list[tuple[int, list]]:
+    """(index of the first trial, its generators) for each stack of trials."""
+    rngs, size = spawn_rngs(seed, trials), max(1, _CHUNK_ENTRIES // (d * d))
+    return [(start, rngs[start:start + size]) for start in range(0, trials, size)]
 
 
 def _positive_int(text: str) -> int:
@@ -64,6 +75,7 @@ def _error_bits(text: str) -> tuple[int, ...]:
     return tuple(int(b) for b in text)
 
 
+@functools.cache    # once per process: _apply_config restores every default it sets
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dephaselab",
@@ -161,8 +173,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         else:
             # argparse parses string defaults with the flag's own type
             defaults[key] = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+    saved = {key: flags[key].default for key in defaults}
     sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    try:
+        return parser.parse_args(argv)
+    finally:
+        sub.set_defaults(**saved)
 
 
 def _outpath(args, default_name: str) -> Path:
@@ -184,14 +200,15 @@ def cmd_dephase(args, tol: Tolerances) -> None:
     m = dephaser.ancilla_dim(d)
     eye_m = np.eye(m, dtype=complex) / m
     rows = []
-    for trial, rng in enumerate(spawn_rngs(args.seed, args.trials)):
-        rho = random_density_matrix(d, rng)
+    for start, rngs in _trial_chunks(args.seed, args.trials, d):
+        rho = np.array([random_density_matrix(d, rng) for rng in rngs])
         system, ancilla = dephaser.couple(rho, eye_m, None, ops)
-        sys_res = trace_norm(system - dephaser.pinch(rho))
-        anc_res = trace_norm(ancilla - eye_m)
-        rows.append(f"{d},{trial},{sys_res:.16e},{anc_res:.16e}")
-        if sys_res > tol.dephasing_residual or anc_res > tol.catalyst_residual:
-            raise CheckFailure(f"residual above tolerance at trial {trial}")
+        sys_res = trace_norm(system - dephaser.pinch(rho)).tolist()
+        anc_res = trace_norm(ancilla - eye_m).tolist()
+        for trial, (s_res, a_res) in enumerate(zip(sys_res, anc_res), start):
+            rows.append(f"{d},{trial},{s_res:.16e},{a_res:.16e}")
+            if s_res > tol.dephasing_residual or a_res > tol.catalyst_residual:
+                raise CheckFailure(f"residual above tolerance at trial {trial}")
     meta = reporting.metadata("dephase", args.seed, tol, args.deterministic)
     meta["d"], meta["m"], meta["trials"] = d, m, args.trials
     reporting.write_csv(_outpath(args, "dephase.csv"), meta,
@@ -202,12 +219,13 @@ def cmd_classical_dephase(args, tol: Tolerances) -> None:
     d = args.d
     channel = dephaser.gram_channel(d, "classical", tol)
     rows = []
-    for trial, rng in enumerate(spawn_rngs(args.seed, args.trials)):
-        rho = random_density_matrix(d, rng)
-        res = trace_norm(channel.apply(rho) - dephaser.pinch(rho))
-        rows.append(f"{d},{trial},{res:.16e}")
-        if res > tol.dephasing_residual:
-            raise CheckFailure(f"residual above tolerance at trial {trial}")
+    for start, rngs in _trial_chunks(args.seed, args.trials, d):
+        rho = np.array([random_density_matrix(d, rng) for rng in rngs])
+        residuals = trace_norm(channel.apply(rho) - dephaser.pinch(rho)).tolist()
+        for trial, res in enumerate(residuals, start):
+            rows.append(f"{d},{trial},{res:.16e}")
+            if res > tol.dephasing_residual:
+                raise CheckFailure(f"residual above tolerance at trial {trial}")
     # rank witness: a mixture one unitary short cannot reach full rank
     truncated = dephaser.gram_channel(d, "classical", tol, count=d - 1)
     rank, m_trunc = bounds_mod.rank_witness(truncated, tol)
@@ -224,15 +242,16 @@ def cmd_transition(args, tol: Tolerances) -> None:
     modes = ["quantum", "classical"] if args.mode == "both" else [args.mode]
     channels = {mode: dephaser.gram_channel(args.d, mode, tol) for mode in modes}
     rows = []
-    for trial, rng in enumerate(spawn_rngs(args.seed, args.trials)):
-        rho, rho_prime = random_majorizing_pair(args.d, rng)
+    for start, rngs in _trial_chunks(args.seed, args.trials, args.d):
+        rho, rho_prime = map(np.array, zip(*[random_majorizing_pair(args.d, r) for r in rngs]))
         pre, post = dephaser.transition_rotations(rho, rho_prime, tol)
-        for mode, channel in channels.items():
-            plan = dephaser.TransitionPlan(pre, channel, post)
-            err = trace_norm(plan.apply(rho) - rho_prime)
-            rows.append(f"{args.d},{trial},{mode},{plan.noise_dim},{err:.16e}")
-            if err > tol.transition_residual:
-                raise CheckFailure(f"transition error {err} at trial {trial} ({mode})")
+        errors = [trace_norm(dephaser.TransitionPlan(pre, channel, post).apply(rho)
+                             - rho_prime).tolist() for channel in channels.values()]
+        for trial, trial_errors in enumerate(zip(*errors), start):
+            for (mode, channel), err in zip(channels.items(), trial_errors):
+                rows.append(f"{args.d},{trial},{mode},{channel.noise_dim},{err:.16e}")
+                if err > tol.transition_residual:
+                    raise CheckFailure(f"transition error {err} at trial {trial} ({mode})")
     meta = reporting.metadata("transition", args.seed, tol, args.deterministic)
     meta["d"], meta["trials"] = args.d, args.trials
     reporting.write_csv(_outpath(args, "transition.csv"), meta,
@@ -317,6 +336,7 @@ def cmd_fig3(args, tol: Tolerances) -> None:
 
 
 def cmd_pqc(args, tol: Tolerances) -> None:
+    require_dim(64, tol)    # the encode and decode joints, (S, A1, B1, A2, B2)
     rng = spawn_rngs(args.seed, 1)[0]
     rho = random_density_matrix(4, rng)
     err = None if args.error is None else pqc.PauliError(*args.error)

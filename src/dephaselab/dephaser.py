@@ -24,7 +24,9 @@ dephasing and the epsilon measurement of the bounds use ``GramChannel``:
 every noisy pinch here is a mixture of operators diagonal in the pinching
 basis, so it acts as rho -> rho * G (entrywise) with G = Theta diag(p)
 Theta†, Theta_aj the eigenvalue of the j-th operator on |a>.  Its largest
-array is d x d, so the dimension cap applies to d itself.
+array is d x d, so the dimension cap applies to d itself.  ``pinch`` (in the
+computational basis), ``couple``, ``GramChannel.apply``, ``TransitionPlan``
+and ``transition_rotations`` also take (T, d, d) stacks of states.
 ``controlled_basis_unitary`` builds the dense joint unitary by row blocks
 where a joint state is the checked quantity: the catalytic chain, the
 recurrence unitary and the private-channel layers.  ``NoisyChannel``
@@ -72,9 +74,9 @@ def pinch(rho: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     ``basis`` holds the basis vectors as columns; ``None`` means the
     computational basis.
     """
-    rho = as_operator(rho)
+    rho = as_operator(rho, stack=basis is None)
     if basis is None:
-        return np.diag(np.diagonal(rho)).astype(complex)
+        return np.where(np.eye(rho.shape[-1], dtype=bool), rho, 0)
     b = check_orthonormal_basis(basis)
     if b.shape[0] != rho.shape[0]:
         raise DimensionError("basis and state dimensions differ")
@@ -160,8 +162,8 @@ class GramChannel:
         return self.gram.shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = as_operator(rho)
-        if rho.shape[0] != self.dim:
+        rho = as_operator(rho, stack=True)
+        if rho.shape[-1] != self.dim:
             raise DimensionError("state dimension does not match the channel")
         return hermitize(rho * self.gram)
 
@@ -241,7 +243,7 @@ def couple(rho: np.ndarray, sigma: np.ndarray, basis: np.ndarray | None,
         system = basis @ system @ basis.conj().T
     stack = np.asarray(ops, dtype=complex)
     conjugated = stack @ sigma @ stack.conj().transpose(0, 2, 1)
-    ancilla = np.einsum("i,ixz->xz", np.diagonal(rho_a).real, conjugated)
+    ancilla = np.einsum("...i,ixz->...xz", np.diagonal(rho_a, 0, -2, -1).real, conjugated)
     return hermitize(system), hermitize(ancilla)
 
 
@@ -301,9 +303,10 @@ class TransitionPlan:
     post_unitary: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        staged = self.pre_unitary @ as_operator(rho) @ self.pre_unitary.conj().T
+        pre, post = self.pre_unitary, self.post_unitary
+        staged = pre @ as_operator(rho, stack=True) @ pre.conj().swapaxes(-1, -2)
         mixed = self.channel.apply(staged)
-        return hermitize(self.post_unitary @ mixed @ self.post_unitary.conj().T)
+        return hermitize(post @ mixed @ post.conj().swapaxes(-1, -2))
 
     @property
     def noise_dim(self) -> int:
@@ -312,8 +315,8 @@ class TransitionPlan:
 
 def _eigh_descending(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(hermitize(rho))
-    order = np.argsort(evals, kind="stable")[::-1]
-    return evals[order], evecs[:, order]
+    order = np.argsort(evals, axis=-1, kind="stable")[..., ::-1]
+    return np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[..., None, :], -1)
 
 
 def transition_rotations(rho: np.ndarray, rho_prime: np.ndarray,
@@ -323,19 +326,21 @@ def transition_rotations(rho: np.ndarray, rho_prime: np.ndarray,
     Requires the spectrum of rho to majorize that of rho'.  ``pre`` rotates
     rho to its eigenbasis and spreads the target spectrum onto the diagonal
     (Schur-Horn); ``post`` maps the diagonal onto the eigenbasis of rho'.
-    Neither depends on how the pinch is implemented.
+    Neither depends on how the pinch is implemented.  For stacks, only the
+    Schur-Horn step runs per member.
     """
-    rho, rho_prime = as_operator(rho), as_operator(rho_prime)
+    rho, rho_prime = as_operator(rho, stack=True), as_operator(rho_prime, stack=True)
     lam, w = _eigh_descending(rho)
     mu, w_prime = _eigh_descending(rho_prime)
     check_density_matrix(rho, tol, lam)
     check_density_matrix(rho_prime, tol, mu)
     if rho.shape != rho_prime.shape:
         raise DimensionError("states must share one dimension")
-    if not majorizes_spectra(lam, mu, tol):
+    if not np.all(majorizes_spectra(lam, mu, tol)):
         raise PreconditionError("transition requires the source to majorize the target")
-    v = schur_horn_unitary(lam, mu, tol)
-    return v @ w.conj().T, w_prime
+    v = np.array([schur_horn_unitary(lam_t, mu_t, tol) for lam_t, mu_t
+                  in zip(lam.reshape(-1, lam.shape[-1]), mu.reshape(-1, mu.shape[-1]))])
+    return v.reshape(rho.shape) @ w.conj().swapaxes(-1, -2), w_prime
 
 
 def transition_channel(rho: np.ndarray, rho_prime: np.ndarray,

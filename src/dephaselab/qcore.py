@@ -6,6 +6,11 @@ described by a tuple of factor dimensions (left factor = slowest index, i.e.
 ``kron`` order).  Everything here is a pure function over immutable inputs,
 and numpy is the only dependency: unitary eigenphases come from a Cayley
 transform and ``eigh`` (``unitary_eigh``), not from a Schur decomposition.
+
+``hermitize``, ``trace_norm``, ``check_density_matrix`` and ``majorizes_spectra``
+also take a (T, d, d) stack (spectra: (T, d)) and give each member what a call
+on it alone gives; the CLI evaluates its trials so, in stacks of at most 2**20
+entries.  The other functions refuse a stack with ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ class InvariantViolation(ValueError):
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def as_operator(a: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def as_operator(a: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex matrix (``stack``: or a (T, d, d) stack) with finite entries."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise InvariantViolation("matrix contains non-finite entries")
@@ -51,14 +56,17 @@ def as_operator(a: np.ndarray) -> np.ndarray:
 def check_density_matrix(rho: np.ndarray, tol: Tolerances = TOL,
                          evals: np.ndarray | None = None) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity (``evals``: its spectrum, if known)."""
-    rho = as_operator(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > tol.hermiticity:
-        raise InvariantViolation("state is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol.trace_one or abs(np.trace(rho).imag) > tol.trace_one:
-        raise InvariantViolation("state trace differs from 1 beyond tolerance")
-    lo = float(np.min(np.linalg.eigvalsh(hermitize(rho)) if evals is None else evals))
-    if lo < tol.psd_floor:
-        raise InvariantViolation(f"state has eigenvalue {lo} below the admissible floor")
+    rho = as_operator(rho, stack=True)
+    skew = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    lowest = np.min(np.linalg.eigvalsh(hermitize(rho)) if evals is None else evals, axis=-1)
+    for s, t, lo in zip(*(np.ravel(x).tolist() for x in (skew, trace, lowest))):
+        if s > tol.hermiticity:
+            raise InvariantViolation("state is not Hermitian within tolerance")
+        if abs(t.real - 1.0) > tol.trace_one or abs(t.imag) > tol.trace_one:
+            raise InvariantViolation("state trace differs from 1 beyond tolerance")
+        if lo < tol.psd_floor:
+            raise InvariantViolation(f"state has eigenvalue {lo} below the admissible floor")
     return rho
 
 
@@ -82,7 +90,7 @@ def check_orthonormal_basis(b: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part; use before eigvalsh on noisy output."""
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def check_layout(layout: Sequence[int], dim: int) -> tuple[int, ...]:
@@ -144,13 +152,19 @@ def partial_trace(op: np.ndarray, layout: Sequence[int],
     return tens.reshape(kept_dim, kept_dim)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Schatten 1-norm: the sum of singular values, or of absolute eigenvalues
-    (half the cost) when ``a`` is exactly Hermitian, as state differences are."""
-    a = as_operator(a)
-    if np.array_equal(a, a.conj().T):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+def trace_norm(a: np.ndarray) -> float | np.ndarray:
+    """Schatten 1-norm: the sum of singular values, or of absolute eigenvalues (half
+    the cost) when exactly Hermitian, as state differences are; per member for a stack."""
+    a = as_operator(a, stack=True)
+    stack = a.reshape(-1, *a.shape[-2:])
+    hermitian = np.all(stack == stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if hermitian.all():    # the usual case, without a boolean-index copy
+        norms = np.sum(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+    else:
+        norms = np.empty(len(stack))
+        norms[hermitian] = np.sum(np.abs(np.linalg.eigvalsh(stack[hermitian])), axis=-1)
+        norms[~hermitian] = np.sum(np.linalg.svd(stack[~hermitian], compute_uv=False), axis=-1)
+    return float(norms[0]) if a.ndim == 2 else norms
 
 
 def two_norm(a: np.ndarray) -> float:
@@ -242,13 +256,15 @@ def spectrum_descending(rho: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(hermitize(as_operator(rho))))[::-1]
 
 
-def majorizes_spectra(lam: np.ndarray, mu: np.ndarray, tol: Tolerances = TOL) -> bool:
-    """Partial-sum dominance of two descending real vectors of equal length."""
-    lam = np.sort(np.asarray(lam, dtype=float))[::-1]
-    mu = np.sort(np.asarray(mu, dtype=float))[::-1]
+def majorizes_spectra(lam: np.ndarray, mu: np.ndarray, tol: Tolerances = TOL) -> bool | np.ndarray:
+    """Partial-sum dominance of two real vectors of equal length (any order);
+    for two (T, d) stacks, a bool array with one verdict per row."""
+    lam = np.sort(np.asarray(lam, dtype=float), axis=-1)[..., ::-1]
+    mu = np.sort(np.asarray(mu, dtype=float), axis=-1)[..., ::-1]
     if lam.shape != mu.shape:
         raise DimensionError("spectra must have equal length")
-    return bool(np.all(np.cumsum(lam) >= np.cumsum(mu) - tol.majorization))
+    ok = np.all(np.cumsum(lam, axis=-1) >= np.cumsum(mu, axis=-1) - tol.majorization, axis=-1)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def majorizes(rho: np.ndarray, rho_prime: np.ndarray, tol: Tolerances = TOL) -> bool:

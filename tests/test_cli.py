@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dephaselab
+from dephaselab import cli
 from dephaselab.cli import main
 
 
@@ -156,6 +157,37 @@ class TestSizes:
         assert not Path(f"{prefix}_m9.csv").exists()
 
 
+STACKED = [["dephase", "--d", "5", "--trials", "7"],
+           ["classical-dephase", "--d", "6", "--trials", "7"],
+           ["transition", "--d", "4", "--trials", "7"]]
+
+
+class TestTrialStacks:
+    @pytest.mark.parametrize("command", [argv[0] for argv in STACKED])
+    def test_zero_trials_write_a_header_only_file(self, command, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main([command, "--trials", "0", "--out", str(out), "--deterministic"]) == 0
+        assert len(payload_lines(out)) == 1
+
+    @pytest.mark.parametrize("argv", STACKED, ids=[argv[0] for argv in STACKED])
+    def test_one_trial_per_chunk_writes_the_same_bytes(self, argv, tmp_path, monkeypatch):
+        whole, single = tmp_path / "whole.csv", tmp_path / "single.csv"
+        assert main(argv + ["--out", str(whole), "--deterministic"]) == 0
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 1)
+        assert main(argv + ["--out", str(single), "--deterministic"]) == 0
+        assert single.read_bytes() == whole.read_bytes()
+
+    def test_config_defaults_do_not_outlive_their_call(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 5}))
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["--config", str(cfg), "dephase", "--trials", "1",
+                     "--out", str(first), "--deterministic"]) == 0
+        assert main(["dephase", "--trials", "1", "--out", str(second), "--deterministic"]) == 0
+        assert payload_lines(first)[1].startswith("5,0,")
+        assert payload_lines(second)[1].startswith("9,0,")
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("cmd", [
         ["dephase", "--d", "5", "--trials", "4", "--seed", "9"],
@@ -287,8 +319,9 @@ class TestExitCodes:
         (["classical-dephase", "--d", "16"], 16),
         (["bounds", "--d", "16"], 16),
         (["chain"], 16),
+        (["pqc"], 64),
     ], ids=["dephase", "machine", "recur", "fig3", "expander", "transition",
-            "classical-dephase", "bounds", "chain"])
+            "classical-dephase", "bounds", "chain", "pqc"])
     def test_every_command_checks_a_lowered_cap(self, argv, dim, tmp_path, capsys):
         tol = tmp_path / "tol.json"
         tol.write_text(json.dumps({"dim_cap": 10}))
