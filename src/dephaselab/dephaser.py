@@ -238,7 +238,8 @@ def couple(rho: np.ndarray, sigma: np.ndarray, basis: np.ndarray | None,
     sum_i <a_i|rho|a_i> U_i sigma U_i†.  V itself is never formed.
     """
     rho_a = rho if basis is None else basis.conj().T @ rho @ basis
-    system = rho_a * weylops.operator_gram(ops, sigma)
+    gram = weylops.operator_gram(ops, sigma)  # named: elision would compute G * rho in place
+    system = rho_a * gram
     if basis is not None:
         system = basis @ system @ basis.conj().T
     stack = np.asarray(ops, dtype=complex)

@@ -292,7 +292,6 @@ def bell_discriminate(chi: np.ndarray) -> tuple[str, dict[str, float]]:
 class AuthenticationResult:
     verdict: str                 # "accept" | "reject"
     ebits_consumed: int
-    parities: tuple[int, ...]    # measured parity per round
 
 
 def parity_authenticate(syn: Syndrome, rounds: int,
@@ -307,13 +306,10 @@ def parity_authenticate(syn: Syndrome, rounds: int,
     if rounds < 1:
         raise PreconditionError("need at least one authentication round")
     bits = np.asarray(syn.bits, dtype=int)
-    parities = []
-    for _ in range(rounds):
-        mask = rng.integers(0, 2, size=bits.size)
-        parities.append(int(np.dot(mask, bits) % 2))
+    parities = [int(np.dot(rng.integers(0, 2, size=bits.size), bits) % 2)
+                for _ in range(rounds)]     # every round draws its mask
     verdict = "accept" if not any(parities) else "reject"
-    return AuthenticationResult(verdict=verdict, ebits_consumed=rounds,
-                                parities=tuple(parities))
+    return AuthenticationResult(verdict=verdict, ebits_consumed=rounds)
 
 
 # ---------------------------------------------------------------------------

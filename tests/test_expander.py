@@ -8,7 +8,7 @@ from dephaselab import expander as ex
 from dephaselab import weylops
 from dephaselab.dephaser import pinch
 from dephaselab.qcore import PreconditionError, trace_norm, two_norm
-from dephaselab.sampling import random_density_matrix
+from dephaselab.sampling import random_density_matrix, random_pure_state, spawn_rngs
 from dephaselab.tolerances import TOL
 
 
@@ -19,6 +19,17 @@ def lattice_points(e: int) -> np.ndarray:
 def coherent(d: int) -> np.ndarray:
     v = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     return np.outer(v, v.conj())
+
+
+def pinched(w: np.ndarray) -> np.ndarray:
+    """Column-constant projection: the Wigner array of the pinched state."""
+    d = w.shape[0]
+    return np.tile(w.sum(axis=0) / d, (d, 1))
+
+
+def phase_space_norm(w: np.ndarray) -> float:
+    """sqrt(d sum W^2): the Hilbert-Schmidt norm of the represented operator."""
+    return float(np.sqrt(w.shape[0] * np.sum(w ** 2)))
 
 
 def walk_matrix(e: int) -> np.ndarray:
@@ -151,22 +162,22 @@ class TestWignerTransform:
         for p in range(d):
             for q in range(d):
                 ref = np.trace(phase_point_operator(d, p, q) @ rho).real / d
-                assert w.values[p, q] == pytest.approx(ref, abs=1e-12)
+                assert w[p, q] == pytest.approx(ref, abs=1e-12)
 
     def test_normalization(self, rng):
         w = ex.wigner_from_state(random_density_matrix(7, rng))
-        assert w.total() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_flat(self):
         for d in (3, 9):
             w = ex.wigner_from_state(np.eye(d, dtype=complex) / d)
-            np.testing.assert_allclose(w.values, np.full((d, d), 1.0 / d ** 2),
+            np.testing.assert_allclose(w, np.full((d, d), 1.0 / d ** 2),
                                        atol=1e-14)
 
     def test_pinched_states_have_uniform_columns(self, rng):
         d = 9
         w = ex.wigner_from_state(pinch(random_density_matrix(d, rng)))
-        np.testing.assert_allclose(w.values, np.tile(w.values[0], (d, 1)), atol=1e-13)
+        np.testing.assert_allclose(w, np.tile(w[0], (d, 1)), atol=1e-13)
 
     def test_parseval_both_sides_independent(self, rng):
         # both norms computed on their own representations
@@ -174,14 +185,14 @@ class TestWignerTransform:
         rho, sigma = (random_density_matrix(d, rng) for _ in range(2))
         lhs = two_norm(rho - sigma)
         wr, ws = ex.wigner_from_state(rho), ex.wigner_from_state(sigma)
-        rhs = ex.WignerFunction(d, wr.values - ws.values).two_norm()
+        rhs = phase_space_norm(wr - ws)
         assert lhs == pytest.approx(rhs, abs=TOL.parseval)
 
     def test_column_sums_are_the_diagonal(self, rng):
         d = 5
         rho = random_density_matrix(d, rng)
         w = ex.wigner_from_state(rho)
-        np.testing.assert_allclose(w.column_sums(), np.diagonal(rho).real, atol=1e-12)
+        np.testing.assert_allclose(w.sum(axis=0), np.diagonal(rho).real, atol=1e-12)
 
     def test_even_dimension_rejected(self):
         with pytest.raises(PreconditionError):
@@ -192,15 +203,15 @@ class TestChannel:
     def test_per_line_equivalence_exact(self, rng):
         d, e = 9, 3
         w = ex.wigner_from_state(random_density_matrix(d, rng))
-        stepped = ex.expander_channel_step(w)
+        stepped = ex.walk_apply(w, e)
         for q in range(d):
-            col = ex.walk_apply(w.values[:, q], e)
-            assert np.array_equal(col, stepped.values[:, q])
+            col = ex.walk_apply(w[:, q], e)
+            assert np.array_equal(col, stepped[:, q])
 
     def test_pinched_state_is_fixed(self, rng):
-        w = ex.wigner_from_state(random_density_matrix(9, rng)).pinched()
-        out = ex.expander_channel_step(w)
-        np.testing.assert_allclose(out.values, w.values, atol=1e-15)
+        w = pinched(ex.wigner_from_state(random_density_matrix(9, rng)))
+        out = ex.walk_apply(w, 3)
+        np.testing.assert_allclose(out, w, atol=1e-15)
 
     def test_identity_is_fixed(self):
         rho = np.eye(9, dtype=complex) / 9
@@ -209,33 +220,46 @@ class TestChannel:
 
     def test_column_weights_invariant(self, rng):
         w = ex.wigner_from_state(random_density_matrix(9, rng))
-        out = ex.expander_channel_step(w)
-        np.testing.assert_allclose(out.column_sums(), w.column_sums(), atol=1e-12)
+        out = ex.walk_apply(w, 3)
+        np.testing.assert_allclose(out.sum(axis=0), w.sum(axis=0), atol=1e-12)
 
     def test_commutes_with_pinching(self, rng):
         w = ex.wigner_from_state(random_density_matrix(9, rng))
-        out = ex.expander_channel_step(w)
-        np.testing.assert_allclose(out.pinched().values, w.pinched().values,
-                                   atol=1e-10)
+        out = ex.walk_apply(w, 3)
+        np.testing.assert_allclose(pinched(out), pinched(w), atol=1e-10)
 
     def test_single_step_columnwise_contraction(self):
         d, e = 9, 3
         rho = coherent(d)
         w = ex.wigner_from_state(rho)
-        target = w.pinched()
-        out = ex.expander_channel_step(w)
-        lhs = ex.WignerFunction(d, out.values - target.values).two_norm()
-        rhs = ex.CONTRACTION_FACTOR * ex.WignerFunction(
-            d, w.values - target.values).two_norm()
+        target = pinched(w)
+        out = ex.walk_apply(w, e)
+        lhs = phase_space_norm(out - target)
+        rhs = ex.CONTRACTION_FACTOR * phase_space_norm(w - target)
         assert lhs <= rhs + 1e-12
 
     def test_reconstructed_states_stay_physical(self, rng):
         w = ex.wigner_from_state(random_density_matrix(9, rng))
         for _ in range(5):
-            w = ex.expander_channel_step(w)
+            w = ex.walk_apply(w, 3)
             back = ex.state_from_wigner(w)
             np.testing.assert_allclose(back, back.conj().T, atol=1e-12)
             assert np.trace(back).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [15, 4])
+    def test_step_refuses_dimensions_other_than_odd_squares(self, d):
+        # 15 is odd but not a square; 4 is a square of an even lattice
+        with pytest.raises(PreconditionError):
+            ex.expander_channel_step(np.eye(d, dtype=complex) / d)
+
+    def test_step_is_not_a_positive_map(self):
+        # the lattice maps are not symplectic: pure inputs can leave the
+        # state space, although the maximally coherent input stays PSD
+        lowest = min(np.linalg.eigvalsh(ex.expander_channel_step(random_pure_state(9, r)))[0]
+                     for r in spawn_rngs(0, 200))
+        assert lowest < -0.1
+        out = ex.expander_channel_step(coherent(9))
+        assert np.linalg.eigvalsh(out)[0] > -1e-12
 
 
 class TestTheorem3:

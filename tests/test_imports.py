@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every function parameter is read by its function.
+"""Every module-level import in the package is used by its module, every
+function parameter is read by its function, and every dataclass field is
+read somewhere (matched by attribute name only).
 
 An import statement marked ``# noqa: F401`` is exempt: it is kept for its
 side effect or for readers outside the module.  ``self`` and ``cls`` are
@@ -60,3 +61,35 @@ def unread_parameters(path: Path) -> list[str]:
 
 def test_every_parameter_is_read():
     assert [u for path in MODULES for u in unread_parameters(path)] == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+READERS = sorted(p for top in ("src", "tests", "perfbench") for p in (REPO / top).rglob("*.py"))
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "dataclass"
+               for dec in node.decorator_list for n in ast.walk(dec))
+
+
+def unread_dataclass_fields() -> list[str]:
+    """Fields of the package's dataclasses that no module loads as an
+    attribute.  It matches by attribute name only: ``x.name`` on any object
+    anywhere in ``src/``, ``tests/`` or ``perfbench/`` counts as a read of
+    every field called ``name``."""
+    loaded = set()
+    for path in READERS:
+        loaded.update(n.attr for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    found = []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef) and is_dataclass(cls):
+                found += [f"{path.name}:{f.lineno} {cls.name}.{f.target.id}" for f in cls.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                          and f.target.id not in loaded]
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []

@@ -32,6 +32,24 @@ def states(d, rng, count=T):
     return np.array([random_density_matrix(d, rng) for _ in range(count)])
 
 
+def assert_couple_stack_equals_loop(d, rng):
+    m = dephaser.ancilla_dim(d)
+    ops = dephaser.dephasing_ops(d)
+    sigma = random_density_matrix(m, rng)
+    rho = states(d, rng)
+    stacked = dephaser.couple(rho, sigma, None, ops)
+    for t in range(T):
+        for got, want in zip(stacked, dephaser.couple(rho[t], sigma, None, ops)):
+            assert np.array_equal(got[t], want)
+
+
+@pytest.mark.parametrize("d", [128, 200])
+def test_couple_stack_equals_loop_from_the_elision_size(d, rng):
+    """From d = 128 a d x d complex array reaches 256 KiB, the size from
+    which numpy multiplies into an unnamed temporary in place."""
+    assert_couple_stack_equals_loop(d, rng)
+
+
 @pytest.mark.parametrize("d", DIMS)
 class TestStackEqualsLoop:
     def test_hermitize_and_pinch(self, d, rng):
@@ -41,14 +59,7 @@ class TestStackEqualsLoop:
             assert np.array_equal(stacked, looped)
 
     def test_couple(self, d, rng):
-        m = dephaser.ancilla_dim(d)
-        ops = dephaser.dephasing_ops(d)
-        sigma = random_density_matrix(m, rng)
-        rho = states(d, rng)
-        stacked = dephaser.couple(rho, sigma, None, ops)
-        for t in range(T):
-            for got, want in zip(stacked, dephaser.couple(rho[t], sigma, None, ops)):
-                assert np.array_equal(got[t], want)
+        assert_couple_stack_equals_loop(d, rng)
 
     @pytest.mark.parametrize("mode", ["quantum", "classical"])
     def test_gram_channel_apply(self, d, mode, rng):

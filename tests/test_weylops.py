@@ -199,5 +199,5 @@ class TestPhaseSpaceOps:
             w_op = weylops.weyl_displacement(d, 2, q0)
             moved = w_op @ rho0 @ w_op.conj().T
             w = wigner_from_state(moved)
-            np.testing.assert_allclose(w.column_sums(),
+            np.testing.assert_allclose(w.sum(axis=0),
                                        np.eye(d)[q0], atol=1e-12)
