@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,8 +29,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import dephaser, expander, pqc, recurrence, reporting
 from .qcore import (DimensionError, InvariantViolation, PreconditionError,
-                    ResourceLimitError, partial_trace, require_dim, tensor,
-                    trace_norm)  # noqa: F401 (perfbench/tests)
+                    ResourceLimitError, block_trace_norm, partial_trace, require_dim,
+                    tensor, trace_norm)  # noqa: F401 (perfbench/tests)
 from .sampling import random_density_matrix, spawn_rngs
 from .tolerances import TOL, Tolerances
 
@@ -305,12 +306,13 @@ def cmd_recur(args, tol: Tolerances) -> None:
     rho = random_density_matrix(spec.d, rng)
     rows = []
     for k in range(1, kmax + 1):
+        groups = recurrence.label_groups(spec, k)
         got = recurrence.stroboscopic_map(spec, rho, k)
-        ideal = recurrence.predicted_map(k, spec.m, rho)
         exact = recurrence.construction_predicted_map(spec, rho, k)
-        r_exact = trace_norm(got - exact)
+        r_exact = block_trace_norm(got - exact, groups)
         # the predictions coincide at prime m and at k coprime to m or divisible by it
-        r_ideal = r_exact if np.array_equal(ideal, exact) else trace_norm(got - ideal)
+        r_ideal = r_exact if math.gcd(k, spec.m) in (1, spec.m) else block_trace_norm(
+            got - recurrence.predicted_map(k, spec.m, rho), groups)
         rows.append(f"{spec.m},{k},{r_ideal:.16e},{r_exact:.16e}")
         if r_exact > tol.recurrence_residual:
             raise CheckFailure(f"construction prediction violated at k={k}")

@@ -105,6 +105,8 @@ def state_from_wigner(w: np.ndarray) -> np.ndarray:
     """Inverse transform, M = sum_{p,q} W(p,q) A(p,q); the same DFT scattered
     back: M[q + x, q - x] = sum_p W(p, q) w^{2px}."""
     d = w.shape[0]
+    if d % 2 == 0:
+        raise PreconditionError("Wigner construction requires odd dimension")
     plus, minus = _anti_diagonals(d)
     by_freq = w[(pow(2, -1, d) * np.arange(d)) % d]   # row k holds p = k/2
     out = np.empty((d, d), dtype=complex)

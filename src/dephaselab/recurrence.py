@@ -31,7 +31,9 @@ need g^m = e for every g: a cyclic Z_{m^2} index fails there.
 
 A residual that is known is not recomputed: ``fig3_sweep`` copies t > m/2
 from its mirror m - t (C_(m-t) = conj(C_t)), and ``recur`` evaluates one
-residual where the two predictions are the same array.  Continuous time
+residual where the two predictions are the same array (gcd(k, m) is 1 or m).
+Each residual is block diagonal on ``label_groups``, so ``recur`` sums its
+trace norm over the blocks: m * m^3 work at prime m, not m^6.  Continuous time
 diagonalizes the whole ancilla family with one batched ``qcore.unitary_eigh``
 call, in numpy alone.
 """
@@ -111,6 +113,18 @@ def _batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron(a[i], b[i]) for every i, as one (n, pq, pq) array."""
     n, p, q = a.shape[0], a.shape[1], b.shape[1]
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * q, p * q)
+
+
+def label_groups(spec: RecurrenceSpec, k: int) -> np.ndarray:
+    """Label of index i = r*m + s at step k: the r digits of the prime factors
+    not dividing k, as one integer (r itself at prime m, k not a multiple).
+    Across groups the k-th powers shift differently, so their supports are
+    disjoint: ``hadamard_coefficients`` sums exact zeros there, and the
+    masks of ``construction_predicted_map`` and ``pinch`` vanish too."""
+    labels = np.array(_mixed_radix_labels(spec.factors))
+    pinched = [j for j, p in enumerate(spec.factors) if k % p]
+    r = np.arange(spec.d) // spec.m
+    return labels[r][:, pinched] @ spec.m ** np.arange(len(pinched))[::-1]
 
 
 def recurrence_unitary(spec: RecurrenceSpec, tol: Tolerances = TOL) -> np.ndarray:

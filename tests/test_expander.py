@@ -198,6 +198,11 @@ class TestWignerTransform:
         with pytest.raises(PreconditionError):
             ex.wigner_from_state(np.eye(4) / 4)
 
+    def test_even_dimension_rejected_by_inverse(self):
+        # pow(2, -1, d) has no value at even d; the check comes before it
+        with pytest.raises(PreconditionError, match="requires odd dimension"):
+            ex.state_from_wigner(np.zeros((4, 4)))
+
 
 class TestChannel:
     def test_per_line_equivalence_exact(self, rng):

@@ -10,6 +10,7 @@ from dephaselab.qcore import (
     DimensionError,
     PreconditionError,
     ResourceLimitError,
+    block_trace_norm,
     embed_operator,
     fidelity,
     hamiltonian_from_unitary,
@@ -136,6 +137,44 @@ class TestTraceNormPaths:
     def test_non_hermitian_input_gives_singular_value_sum(self, rng):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         assert trace_norm(a) == float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def planted_blocks(rng, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """A Hermitian matrix with n random s x s diagonal blocks, and its labels."""
+    a = np.zeros((n * s, n * s), dtype=complex)
+    for b in range(n):
+        x = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        a[b * s:(b + 1) * s, b * s:(b + 1) * s] = qcore.hermitize(x)
+    return a, np.repeat(np.arange(n), s)
+
+
+class TestBlockTraceNorm:
+    @pytest.mark.parametrize("n,s", [(2, 1), (3, 3), (5, 5), (4, 7), (13, 13)])
+    def test_planted_blocks_contiguous_and_permuted(self, rng, n, s):
+        a, groups = planted_blocks(rng, n, s)
+        perm = rng.permutation(n * s)
+        for mat, labels in ((a, groups), (a[np.ix_(perm, perm)], 7 * groups[perm] + 2)):
+            assert block_trace_norm(mat, labels) == pytest.approx(trace_norm(mat), rel=1e-12, abs=0)
+
+    def test_entry_between_groups_falls_back_to_full_norm(self, rng):
+        a, groups = planted_blocks(rng, 4, 3)
+        a[1, 10] = 1e-300
+        assert block_trace_norm(a, groups) == trace_norm(a)
+        perm = rng.permutation(12)
+        b = a[np.ix_(perm, perm)]
+        assert block_trace_norm(b, groups[perm]) == trace_norm(b)
+
+    def test_unequal_groups_fall_back_to_full_norm(self, rng):
+        a, _ = planted_blocks(rng, 1, 5)
+        assert block_trace_norm(a, [0, 0, 1, 1, 1]) == trace_norm(a)
+
+    def test_zero_matrix(self):
+        assert block_trace_norm(np.zeros((9, 9)), np.repeat(np.arange(3), 3)) == 0.0
+
+    def test_single_group_is_bit_identical(self, rng):
+        a, _ = planted_blocks(rng, 1, 16)
+        for mat in (a, a + np.triu(np.ones((16, 16)), 1)):   # Hermitian and not
+            assert block_trace_norm(mat, np.full(16, 4)) == trace_norm(mat)
 
 
 class TestEntropy:

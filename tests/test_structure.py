@@ -4,12 +4,12 @@ The Wigner transforms (gather plus DFT), the Kronecker mask of the
 construction prediction, the block-diagonal continuous-time sweep, the
 vectorised Weyl-family builder, the row-block dense coupling, the
 closed-form decoherence, measurement and private-channel correction, the
-mirrored fig3 sweep and the shared recur residual are each compared with a
-literal implementation: the looped transforms, mask, single-operator Weyl
-builder, per-operator ancilla family, Kronecker-sum coupling, simulated
-purified processes and simulated correction table, the sweep that evaluates
-every grid point and the recur loop that evaluates both residuals kept
-below, and the dense ``ContinuousEvolver`` on the full joint unitary.  The
+mirrored fig3 sweep and the block-wise, shared recur residuals are each
+compared with a literal implementation: the looped transforms, mask,
+single-operator Weyl builder, per-operator ancilla family, Kronecker-sum
+coupling, simulated purified processes and simulated correction table, the
+sweep that evaluates every grid point and the recur loop that evaluates both
+full residuals kept below, and the dense ``ContinuousEvolver`` on the full joint unitary.  The
 batched numpy eigensolver ``unitary_eigh`` behind continuous time is checked
 against scipy's complex Schur decomposition (``schur_continuous_coefficients``)
 and on degenerate and near -1 spectra.  The
@@ -330,6 +330,22 @@ class TestKroneckerMask:
             np.testing.assert_array_equal(got, masks[keep])
 
 
+class TestLabelBlocks:
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 21])
+    def test_coefficients_and_mask_vanish_exactly_between_groups(self, m):
+        # so block_trace_norm never falls back on a recur residual
+        spec = rec.RecurrenceSpec.for_ancilla(m)
+        ones = np.ones((spec.d, spec.d))
+        for k in range(1, 2 * m + 1):
+            groups = rec.label_groups(spec, k)
+            if len(spec.factors) == 1:
+                assert np.all(np.diff(groups) >= 0)
+            assert len(np.unique(groups)) == math.prod(p for p in spec.factors if k % p)
+            between = groups[:, None] != groups[None, :]
+            assert np.all(rec.hadamard_coefficients(spec, k)[between] == 0.0)
+            assert np.all(rec.construction_predicted_map(spec, ones, k)[between] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Continuous time
 # ---------------------------------------------------------------------------
@@ -472,10 +488,18 @@ class TestMirroredSweep:
 class TestRecurResiduals:
     @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 15])
     def test_csv_equals_loop_with_both_residuals(self, m, tmp_path):
+        # the CLI sums trace norms over the label blocks: equal up to rounding
         out = tmp_path / "recur.csv"
         assert main(["recur", "--m", str(m), "--out", str(out), "--deterministic"]) == 0
-        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
-        assert rows[1:] == recur_rows_both_residuals(m)
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        want = [ln.split(",") for ln in recur_rows_both_residuals(m)]
+        assert [r[:2] for r in rows] == [w[:2] for w in want]
+        for row, ref in zip(rows, want):
+            for v, w in zip(map(float, row[2:]), map(float, ref[2:])):
+                assert abs(v - w) <= 1e-12 * max(1.0, abs(w)), (row, ref)
+            if math.gcd(int(row[1]), m) in (1, m):   # one residual, written twice
+                assert row[2] == row[3]
 
     def test_composite_rows_keep_distinct_residuals(self, tmp_path):
         out = tmp_path / "recur.csv"
