@@ -169,9 +169,12 @@ def trace_norm(a: np.ndarray) -> float | np.ndarray:
 
 def block_trace_norm(a: np.ndarray, groups: np.ndarray) -> float:
     """``trace_norm(a)`` summed over the diagonal blocks that ``groups`` (one label
-    per index) picks out: n s^3 work for n blocks of size s, not (n s)^3.  With one
-    group, unequal groups or a nonzero entry between groups it is ``trace_norm(a)``."""
+    per index) picks out: n s^3 work for n blocks of size s, not (n s)^3.  Below 49
+    rows, where the grouping costs more than it saves, and with one group, unequal
+    groups or a nonzero entry between groups it is ``trace_norm(a)``."""
     a, groups = as_operator(a), np.asarray(groups)
+    if a.shape[0] < 49:
+        return trace_norm(a)
     counts = np.unique(groups, return_counts=True)[1]
     n, s = counts.size, counts[0]
     if n > 1 and np.all(counts == s):
@@ -222,16 +225,6 @@ def mutual_information(joint: np.ndarray, layout: Sequence[int],
             - von_neumann_entropy(rab, tol))
 
 
-def hamiltonian_from_unitary(u: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Hermitian generator H with exp(-i H) = U and eigenphases in (-pi, pi].
-
-    The eigenbasis comes from ``unitary_eigh``, so it is orthonormal even
-    for degenerate eigenvalues.
-    """
-    phases, q = unitary_eigh(check_unitary(u, tol))
-    return (q * phases) @ q.conj().T
-
-
 def unitary_eigenphases(eigvals: np.ndarray) -> np.ndarray:
     """Generator phases h in (-pi, pi] with exp(-i h) = eigval.
 
@@ -267,11 +260,6 @@ def unitary_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unitary_eigenphases(eigvals), q
 
 
-def spectrum_descending(rho: np.ndarray) -> np.ndarray:
-    """Real eigenvalues sorted descending."""
-    return np.sort(np.linalg.eigvalsh(hermitize(as_operator(rho))))[::-1]
-
-
 def majorizes_spectra(lam: np.ndarray, mu: np.ndarray, tol: Tolerances = TOL) -> bool | np.ndarray:
     """Partial-sum dominance of two real vectors of equal length (any order);
     for two (T, d) stacks, a bool array with one verdict per row."""
@@ -281,15 +269,6 @@ def majorizes_spectra(lam: np.ndarray, mu: np.ndarray, tol: Tolerances = TOL) ->
         raise DimensionError("spectra must have equal length")
     ok = np.all(np.cumsum(lam, axis=-1) >= np.cumsum(mu, axis=-1) - tol.majorization, axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
-
-
-def majorizes(rho: np.ndarray, rho_prime: np.ndarray, tol: Tolerances = TOL) -> bool:
-    """True iff the spectrum of ``rho`` majorizes that of ``rho_prime``."""
-    rho = as_operator(rho)
-    rho_prime = as_operator(rho_prime)
-    if rho.shape != rho_prime.shape:
-        raise DimensionError("states must have equal dimension")
-    return majorizes_spectra(spectrum_descending(rho), spectrum_descending(rho_prime), tol)
 
 
 def schur_horn_unitary(spectrum: Sequence[float], target_diagonal: Sequence[float],
@@ -391,11 +370,3 @@ def matrix_to_json(a: np.ndarray) -> dict:
         "im": a.imag.ravel().tolist(),
     }
 
-
-def matrix_from_json(data: dict) -> np.ndarray:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    if re.size != rows * cols or im.size != rows * cols:
-        raise DimensionError("entry count does not match rows*cols")
-    return (re + 1j * im).reshape(rows, cols)

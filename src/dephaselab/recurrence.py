@@ -34,8 +34,8 @@ from its mirror m - t (C_(m-t) = conj(C_t)), and ``recur`` evaluates one
 residual where the two predictions are the same array (gcd(k, m) is 1 or m).
 Each residual is block diagonal on ``label_groups``, so ``recur`` sums its
 trace norm over the blocks: m * m^3 work at prime m, not m^6.  Continuous time
-diagonalizes the whole ancilla family with one batched ``qcore.unitary_eigh``
-call, in numpy alone.
+expands U_a^t in the powers of U_a (``continuous_coefficients``), and at prime m
+fig3 reads the closed spectrum of C_t (``closed_fig3_distances``).
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ import numpy as np
 
 from . import weylops
 from .dephaser import controlled_basis_unitary, maximally_coherent_state, pinch
-from .qcore import (
-    PreconditionError,
-    hermitize,
-    trace_norm,
-    two_norm,
-    unitary_eigh,
-)
+from .qcore import PreconditionError, hermitize, trace_norm, two_norm, unitary_eigh
 from .tolerances import TOL, Tolerances
 
 
@@ -247,20 +241,78 @@ class TimeSweep:
         raise KeyError(f"t={t} not sampled")
 
 
+def _root_powers(m: int, t: float) -> np.ndarray:
+    """f_t(w^k) = exp(2 pi i k~ t / m) for k = 0..m-1, with k~ the centred
+    residue of k: the principal-branch t-th power of each m-th root of unity."""
+    k = np.arange(m)
+    return np.exp(2j * np.pi * np.where(k > m // 2, k - m, k) * t / m)
+
+
 def continuous_coefficients(spec: RecurrenceSpec):
     """t -> C_t[a, b] = (1/m) tr(U_a^t U_b^{-t}); the continuous-time map
     rho -> tr_R[V^t (rho (x) I/m) V^{-t}] is rho -> rho * C_t elementwise.
 
     V = sum_a |a><a| (x) U_a is block diagonal, so V^t = sum_a |a><a| (x) U_a^t
-    on the principal branch of ``unitary_eigenphases``.  The (m^2, m, m)
-    family is diagonalized once by one batched ``unitary_eigh``; a time point
-    costs m^2 small products and one Gram.
+    on the principal branch.  U_a^m = I (m odd), so U_a^t = sum_j c_j U_a^j
+    with c = (1/m) DFT of ``_root_powers(m, t)``, and U_a^j is the member
+    labelled j * a.  The family is trace-orthonormal, hence C_t = P P† with
+    P[a, x] = sum_j c_j [j * a = x], m nonzeros per row.
     """
-    phases, vecs = unitary_eigh(ancilla_family(spec))
+    m, d = spec.m, spec.d
+    labels = np.array(_mixed_radix_labels(spec.factors))
+    weights = np.cumprod((1,) + spec.factors[:0:-1])[::-1]
+    scaled = (np.arange(m)[:, None, None] * labels) % spec.factors @ weights   # (j, x) -> j * x
+    r, s = np.divmod(np.arange(d), m)
+    multiples = scaled[:, r] * m + scaled[:, s]          # (j, a) -> index of j * a
+    dft = weylops.clock_phases(m, np.arange(m)).conj() / m
 
     def at(t: float) -> np.ndarray:
-        rot = np.exp(-1j * phases * t)[:, None, :]
-        return weylops.operator_gram((vecs * rot) @ vecs.conj().transpose(0, 2, 1))
+        p = np.zeros((d, d), dtype=complex)
+        np.add.at(p, (np.arange(d), multiples), (dft @ _root_powers(m, t))[:, None])
+        return p @ p.conj().T
+    return at
+
+
+def closed_fig3_distances(m: int):
+    """t -> (trace, 2-norm) distance of the evolved maximally coherent state
+    from its pinch, (C_t - I)/d, at prime m, from the closed spectrum of C_t.
+
+    C_t is 1 at the origin, conj(c_0) along its row, |c_0|^2 between labels on
+    different lines through the origin, and the same block M_t[j, l] = h(j/l)
+    on each of the m + 1 lines, h(q) = (1/m) sum_k f_t(w^(q k)) conj f_t(w^k).
+    The characters of the cyclic group Z_m^* diagonalize M_t: its eigenvalues
+    are the DFT of h over the powers of a primitive root, the trivial one being
+    the row sum mu.  The others occur m + 1 times each, mu - (m-1)|c_0|^2 m
+    times, and two come from [[1, conj(c_0) sqrt(d-1)], [c_0 sqrt(d-1),
+    mu + m(m-1)|c_0|^2]].  O(m^2) per time point; nothing is d x d.
+    """
+    d = m * m
+    g = next(g for g in range(2, m) if all(pow(g, (m - 1) // q, m) != 1
+                                           for q in prime_factors(m - 1)))
+    gather = np.outer([pow(g, a, m) for a in range(m - 1)], np.arange(m)) % m
+    characters = weylops.clock_phases(m - 1, np.arange(m - 1)).conj()
+    multiplicity = np.concatenate([np.full(m - 2, m + 1), [m, 1, 1]])
+
+    def at(t: float) -> tuple[float, float]:
+        f = _root_powers(m, t)
+        line = (characters @ (f[gather] @ f.conj())).real / m
+        mu, a = line[0], abs(np.mean(f)) ** 2
+        b = mu + m * (m - 1) * a
+        mean, half = (1 + b) / 2, np.hypot((b - 1) / 2, np.sqrt((d - 1) * a))
+        dev = np.concatenate([line[1:], [mu - (m - 1) * a, mean + half, mean - half]]) - 1
+        return float(multiplicity @ np.abs(dev)) / d, float(np.sqrt(multiplicity @ dev ** 2)) / d
+    return at
+
+
+def _dense_fig3_distances(spec: RecurrenceSpec):
+    """``closed_fig3_distances`` for any odd m, from the norms of the residual."""
+    coefficients = continuous_coefficients(spec)
+    rho = maximally_coherent_state(spec.d)
+    target = pinch(rho)
+
+    def at(t: float) -> tuple[float, float]:
+        delta = hermitize(rho * coefficients(t)) - target
+        return trace_norm(delta), two_norm(delta)
     return at
 
 
@@ -269,8 +321,10 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
 
     For each odd m the coupling is evolved over one period t in [0, m]; the
     sample grid always contains the integer times and the half-period
-    midpoint in addition to the uniform grid.  The reduced states come from
-    ``continuous_coefficients``, so the joint dimension m^3 is never formed.
+    midpoint in addition to the uniform grid.  Prime m reads both distances
+    from ``closed_fig3_distances``; composite m takes the norms of the
+    residual under ``continuous_coefficients``.  The joint dimension m^3 is
+    never formed.
 
     U_a has order m and principal-branch phases, so U_a^(m-t) = (U_a^t)^dagger
     and C_(m-t) = conj(C_t); for the real input Delta_(m-t) = conj(Delta_t), so
@@ -279,9 +333,8 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
     out = {}
     for m in m_values:
         spec = RecurrenceSpec.for_ancilla(m)
-        coefficients = continuous_coefficients(spec)
-        rho = maximally_coherent_state(spec.d)
-        target = pinch(rho)
+        evaluate = (closed_fig3_distances(m) if len(spec.factors) == 1
+                    else _dense_fig3_distances(spec))
         grid = set(np.linspace(0.0, m, samples_per_period).tolist())
         grid.update(float(k) for k in range(m + 1))
         grid.add(m / 2.0)
@@ -291,7 +344,6 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
             if t > m / 2 and twin is not None:
                 distances[t] = distances[twin]
             else:
-                delta = hermitize(rho * coefficients(t)) - target
-                distances[t] = (trace_norm(delta), two_norm(delta))
+                distances[t] = evaluate(t)
         out[m] = TimeSweep(m=m, points=tuple((t, *d) for t, d in distances.items()))
     return out

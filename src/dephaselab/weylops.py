@@ -1,5 +1,5 @@
-"""Generalized Pauli (clock/shift) matrices, Weyl unitary operator bases,
-mutually unbiased basis pairs and phase-space operators.
+"""Generalized Pauli (clock/shift) matrices, Weyl unitary operator bases and
+phase-space operators.
 
 Conventions, fixed once for the whole library:
 
@@ -97,35 +97,6 @@ def weyl_basis(m: int) -> np.ndarray:
     if np.max(np.abs(operator_gram(ops) - np.eye(m * m))) > TOL.basis_gram:
         raise InvariantViolation("operator basis is not trace-orthonormal")
     return ops
-
-
-def computational_basis(d: int) -> np.ndarray:
-    """Identity matrix; columns are the computational basis vectors."""
-    return np.eye(d, dtype=complex)
-
-
-def fourier_basis(d: int) -> np.ndarray:
-    """Columns |f_k> = d^{-1/2} sum_j w^{j k} |j>; eigenbasis of the shift."""
-    j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-
-
-def mub_pair(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The computational basis and its Fourier conjugate.
-
-    All cross overlaps have squared modulus 1/d in every dimension, so this
-    pair is mutually unbiased even when d is not a prime power.
-    """
-    if d < 2:
-        raise PreconditionError("mutually unbiased pair needs dimension >= 2")
-    return computational_basis(d), fourier_basis(d)
-
-
-def unbiasedness_residual(b1: np.ndarray, b2: np.ndarray) -> float:
-    """max |  |<i|j>|^2 - 1/d  | over all cross overlaps."""
-    d = b1.shape[0]
-    overlaps = np.abs(b1.conj().T @ b2) ** 2
-    return float(np.max(np.abs(overlaps - 1.0 / d)))
 
 
 def parity_operator(d: int) -> np.ndarray:

@@ -10,12 +10,13 @@ from dephaselab.qcore import (
     DimensionError,
     PreconditionError,
     ResourceLimitError,
+    as_operator,
     block_trace_norm,
+    check_unitary,
     embed_operator,
     fidelity,
-    hamiltonian_from_unitary,
-    majorizes,
-    matrix_from_json,
+    hermitize,
+    majorizes_spectra,
     matrix_to_json,
     mutual_information,
     partial_trace,
@@ -23,6 +24,7 @@ from dephaselab.qcore import (
     tensor,
     trace_norm,
     two_norm,
+    unitary_eigh,
     von_neumann_entropy,
 )
 from dephaselab.sampling import (
@@ -157,24 +159,44 @@ class TestBlockTraceNorm:
             assert block_trace_norm(mat, labels) == pytest.approx(trace_norm(mat), rel=1e-12, abs=0)
 
     def test_entry_between_groups_falls_back_to_full_norm(self, rng):
-        a, groups = planted_blocks(rng, 4, 3)
-        a[1, 10] = 1e-300
-        assert block_trace_norm(a, groups) == trace_norm(a)
-        perm = rng.permutation(12)
-        b = a[np.ix_(perm, perm)]
-        assert block_trace_norm(b, groups[perm]) == trace_norm(b)
+        for n, s in ((4, 3), (7, 7)):    # below and at the 49-row floor
+            a, groups = planted_blocks(rng, n, s)
+            a[1, n * s - 2] = 1e-300
+            assert block_trace_norm(a, groups) == trace_norm(a)
+            perm = rng.permutation(n * s)
+            b = a[np.ix_(perm, perm)]
+            assert block_trace_norm(b, groups[perm]) == trace_norm(b)
 
     def test_unequal_groups_fall_back_to_full_norm(self, rng):
         a, _ = planted_blocks(rng, 1, 5)
         assert block_trace_norm(a, [0, 0, 1, 1, 1]) == trace_norm(a)
+        a, _ = planted_blocks(rng, 1, 50)
+        assert block_trace_norm(a, np.repeat([0, 1], [24, 26])) == trace_norm(a)
 
     def test_zero_matrix(self):
         assert block_trace_norm(np.zeros((9, 9)), np.repeat(np.arange(3), 3)) == 0.0
+        assert block_trace_norm(np.zeros((49, 49)), np.repeat(np.arange(7), 7)) == 0.0
 
     def test_single_group_is_bit_identical(self, rng):
-        a, _ = planted_blocks(rng, 1, 16)
-        for mat in (a, a + np.triu(np.ones((16, 16)), 1)):   # Hermitian and not
-            assert block_trace_norm(mat, np.full(16, 4)) == trace_norm(mat)
+        for n in (16, 49):
+            a, _ = planted_blocks(rng, 1, n)
+            for mat in (a, a + np.triu(np.ones((n, n)), 1)):   # Hermitian and not
+                assert block_trace_norm(mat, np.full(n, 4)) == trace_norm(mat)
+
+    @pytest.mark.parametrize("n,s,blocked", [(4, 12, False), (6, 8, False), (7, 7, True),
+                                             (5, 10, True)])
+    def test_blocks_only_from_49_rows(self, rng, monkeypatch, n, s, blocked):
+        # below the floor the grouping costs more than the dense norm saves
+        a, groups = planted_blocks(rng, n, s)
+        want = trace_norm(a)
+        shapes = []
+        monkeypatch.setattr(qcore, "trace_norm", lambda x: shapes.append(x.shape) or trace_norm(x))
+        got = block_trace_norm(a, groups)
+        assert shapes == [(n, s, s) if blocked else (n * s, n * s)]
+        if blocked:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        else:
+            assert got == want
 
 
 class TestEntropy:
@@ -204,6 +226,16 @@ class TestEntropy:
         assert mutual_information(bell, (2, 2), 0, 1) == pytest.approx(2.0, abs=1e-9)
 
 
+def hamiltonian_from_unitary(u: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Hermitian generator H with exp(-i H) = U and eigenphases in (-pi, pi].
+
+    The eigenbasis comes from ``unitary_eigh``, so it is orthonormal even
+    for degenerate eigenvalues.
+    """
+    phases, q = unitary_eigh(check_unitary(u, tol))
+    return (q * phases) @ q.conj().T
+
+
 class TestHamiltonianFromUnitary:
     def test_identity(self):
         np.testing.assert_allclose(hamiltonian_from_unitary(np.eye(3)), np.zeros((3, 3)),
@@ -226,6 +258,20 @@ class TestHamiltonianFromUnitary:
         u = np.diag([1j, 1j, -1j]).astype(complex)
         h = hamiltonian_from_unitary(u)
         np.testing.assert_allclose(scipy.linalg.expm(-1j * h), u, atol=1e-10)
+
+
+def spectrum_descending(rho: np.ndarray) -> np.ndarray:
+    """Real eigenvalues sorted descending."""
+    return np.sort(np.linalg.eigvalsh(hermitize(as_operator(rho))))[::-1]
+
+
+def majorizes(rho: np.ndarray, rho_prime: np.ndarray, tol: Tolerances = TOL) -> bool:
+    """True iff the spectrum of ``rho`` majorizes that of ``rho_prime``."""
+    rho = as_operator(rho)
+    rho_prime = as_operator(rho_prime)
+    if rho.shape != rho_prime.shape:
+        raise DimensionError("states must have equal dimension")
+    return majorizes_spectra(spectrum_descending(rho), spectrum_descending(rho_prime), tol)
 
 
 class TestMajorization:
@@ -309,6 +355,15 @@ class TestSchurHorn:
         got = np.real(np.diagonal(v @ np.diag(lam) @ v.conj().T))
         np.testing.assert_allclose(got, tgt, rtol=0, atol=TOL.schur_horn_diag)
         assert np.max(np.abs(v @ v.conj().T - np.eye(n))) <= TOL.unitarity
+
+
+def matrix_from_json(data: dict) -> np.ndarray:
+    rows, cols = int(data["rows"]), int(data["cols"])
+    re = np.asarray(data["re"], dtype=float)
+    im = np.asarray(data["im"], dtype=float)
+    if re.size != rows * cols or im.size != rows * cols:
+        raise DimensionError("entry count does not match rows*cols")
+    return (re + 1j * im).reshape(rows, cols)
 
 
 class TestEmbedAndSerialize:

@@ -6,6 +6,8 @@ from the idealized pattern."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dephaselab import recurrence as rec
 from dephaselab import weylops
@@ -195,6 +197,23 @@ class TestContinuousTime:
         v = rec.recurrence_unitary(spec)
         evolver = rec.ContinuousEvolver(v, spec.d, spec.m)
         np.testing.assert_allclose(evolver.joint_propagator(1.0), v, atol=1e-10)
+
+
+class TestContinuousCoefficientProperties:
+    """C_t is the Gram of the ancilla family at time t, so the map rho -> rho * C_t
+    is completely positive, trace preserving and unital at every t."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.sampled_from([3, 5, 7, 9, 11, 13, 15]), st.floats(0.0, 1.0))
+    def test_hermitian_unit_diagonal_psd_and_mirrored(self, m, fraction):
+        t = fraction * m
+        coefficients = rec.continuous_coefficients(rec.RecurrenceSpec.for_ancilla(m))
+        c = coefficients(t)
+        assert np.max(np.abs(c - c.conj().T)) <= 1e-12
+        assert np.max(np.abs(np.diagonal(c) - 1.0)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(hermitize(c))) >= -TOL.eig_clamp
+        # the identity fig3_sweep's mirror copy rests on
+        assert np.max(np.abs(coefficients(m - t) - c.conj())) <= 1e-12
 
 
 class TestFigSweep:

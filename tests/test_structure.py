@@ -10,9 +10,12 @@ single-operator Weyl builder, per-operator ancilla family, Kronecker-sum
 coupling, simulated purified processes and simulated correction table, the
 sweep that evaluates every grid point and the recur loop that evaluates both
 full residuals kept below, and the dense ``ContinuousEvolver`` on the full joint unitary.  The
-batched numpy eigensolver ``unitary_eigh`` behind continuous time is checked
-against scipy's complex Schur decomposition (``schur_continuous_coefficients``)
-and on degenerate and near -1 spectra.  The
+Weyl expansion of continuous time is checked against scipy's complex Schur
+decomposition of every ancilla unitary (``schur_continuous_coefficients``) and
+against the stroboscopic Gram at integer times, and the closed fig3 spectrum at
+prime m against the norms of the dense residual.  The batched numpy
+eigensolver ``unitary_eigh`` behind ``ContinuousEvolver`` is checked on
+degenerate and near -1 spectra.  The
 joint-free entropy budget and the Gram-channel epsilon of the bounds are
 compared with the dense joint (``dense_entropy_budget``) and the dense
 ``NoisyChannel``.
@@ -434,6 +437,43 @@ class TestContinuousCoefficientsOracle:
                 np.testing.assert_allclose(got(t), want(t), rtol=0, atol=1e-12)
 
 
+class TestWeylExpansion:
+    @pytest.mark.parametrize("m", [3, 5, 9, 15])
+    def test_integer_times_are_the_stroboscopic_gram(self, m):
+        spec = rec.RecurrenceSpec.for_ancilla(m)
+        coefficients = rec.continuous_coefficients(spec)
+        for k in range(m + 1):
+            np.testing.assert_allclose(coefficients(k), rec.hadamard_coefficients(spec, k),
+                                       rtol=0, atol=1e-12)
+
+
+class TestClosedSpectrum:
+    @pytest.mark.parametrize("m", [3, 5, 7, 11, 13])
+    def test_matches_dense_residual_norms(self, m):
+        closed = rec.closed_fig3_distances(m)
+        for t, dist_trace, dist_two in unmirrored_fig3_sweep(m, 64):
+            got_trace, got_two = closed(t)
+            assert got_trace == pytest.approx(dist_trace, rel=0, abs=1e-12)
+            assert got_two == pytest.approx(dist_two, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 11])
+    def test_prime_sweep_builds_no_square_of_d(self, m, monkeypatch):
+        calls = []
+        for module, name in ((rec, "trace_norm"), (rec, "unitary_eigh"),
+                             (weylops, "operator_gram"), (rec, "maximally_coherent_state"),
+                             (rec, "pinch"), (rec, "continuous_coefficients")):
+            monkeypatch.setattr(module, name, lambda *a, _n=name: calls.append(_n))
+        rec.fig3_sweep([m], 64)
+        assert calls == []
+
+    def test_composite_sweep_needs_no_eigensolver(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rec, "unitary_eigh", lambda *a: calls.append(1))
+        sweep = rec.fig3_sweep([9], 16)[9]
+        assert calls == []
+        assert sweep.distance_at(3.0) > TOL.integer_time_residual    # the early return
+
+
 class TestTimeSweepScaling:
     def test_midpoint_two_norm_decreases_over_primes(self):
         primes = [3, 5, 7, 11, 13]
@@ -445,10 +485,14 @@ class TestTimeSweepScaling:
                 assert sweeps[m].distance_at(float(k)) <= TOL.integer_time_residual
 
 
-def counted_trace_norm(monkeypatch) -> list:
-    """Count the trace norms ``recurrence`` evaluates."""
+def counted_evaluations(monkeypatch) -> list:
+    """Count the time points ``fig3_sweep`` evaluates: one trace norm each at
+    composite m, one closed spectrum each at prime m."""
     calls = []
     monkeypatch.setattr(rec, "trace_norm", lambda a: calls.append(1) or trace_norm(a))
+    closed = rec.closed_fig3_distances
+    monkeypatch.setattr(rec, "closed_fig3_distances",
+                        lambda m: lambda t, at=closed(m): calls.append(1) or at(t))
     return calls
 
 
@@ -464,7 +508,7 @@ class TestMirroredSweep:
 
     @pytest.mark.parametrize("m", [3, 9, 15])
     def test_evaluates_only_up_to_half_period(self, m, monkeypatch):
-        calls = counted_trace_norm(monkeypatch)
+        calls = counted_evaluations(monkeypatch)
         times = [t for t, _, _ in rec.fig3_sweep([m], 64)[m].points]
         assert len(mirrored_points(times, m)) == sum(t > m / 2 for t in times)
         assert len(calls) == sum(t <= m / 2 for t in times)
@@ -474,7 +518,7 @@ class TestMirroredSweep:
         # a quadratic grid on [0, m]: past m/2 only the integers have a mirror
         linspace = np.linspace
         monkeypatch.setattr(np, "linspace", lambda a, b, n: linspace(a, b, n) ** 2 / b)
-        calls = counted_trace_norm(monkeypatch)
+        calls = counted_evaluations(monkeypatch)
         got = rec.fig3_sweep([m], 16)[m].points
         times = [t for t, _, _ in got]
         assert len(calls) == len(times) - len(mirrored_points(times, m))

