@@ -31,7 +31,8 @@ from . import dephaser, expander, pqc, recurrence, reporting
 from .qcore import (DimensionError, InvariantViolation, PreconditionError,
                     ResourceLimitError, block_trace_norm, partial_trace, require_dim,
                     tensor, trace_norm)  # noqa: F401 (perfbench/tests)
-from .sampling import random_density_matrix, spawn_rngs
+from .sampling import (random_density_matrices, random_density_matrix,
+                       random_majorizing_pairs, spawn_rngs)
 from .tolerances import TOL, Tolerances
 
 
@@ -202,7 +203,7 @@ def cmd_dephase(args, tol: Tolerances) -> None:
     eye_m = np.eye(m, dtype=complex) / m
     rows = []
     for start, rngs in _trial_chunks(args.seed, args.trials, d):
-        rho = np.array([random_density_matrix(d, rng) for rng in rngs])
+        rho = random_density_matrices(d, rngs)
         system, ancilla = dephaser.couple(rho, eye_m, None, ops)
         sys_res = trace_norm(system - dephaser.pinch(rho)).tolist()
         anc_res = trace_norm(ancilla - eye_m).tolist()
@@ -221,7 +222,7 @@ def cmd_classical_dephase(args, tol: Tolerances) -> None:
     channel = dephaser.gram_channel(d, "classical", tol)
     rows = []
     for start, rngs in _trial_chunks(args.seed, args.trials, d):
-        rho = np.array([random_density_matrix(d, rng) for rng in rngs])
+        rho = random_density_matrices(d, rngs)
         residuals = trace_norm(channel.apply(rho) - dephaser.pinch(rho)).tolist()
         for trial, res in enumerate(residuals, start):
             rows.append(f"{d},{trial},{res:.16e}")
@@ -239,12 +240,11 @@ def cmd_classical_dephase(args, tol: Tolerances) -> None:
 
 
 def cmd_transition(args, tol: Tolerances) -> None:
-    from .sampling import random_majorizing_pair
     modes = ["quantum", "classical"] if args.mode == "both" else [args.mode]
     channels = {mode: dephaser.gram_channel(args.d, mode, tol) for mode in modes}
     rows = []
     for start, rngs in _trial_chunks(args.seed, args.trials, args.d):
-        rho, rho_prime = map(np.array, zip(*[random_majorizing_pair(args.d, r) for r in rngs]))
+        rho, rho_prime = random_majorizing_pairs(args.d, rngs)
         pre, post = dephaser.transition_rotations(rho, rho_prime, tol)
         errors = [trace_norm(dephaser.TransitionPlan(pre, channel, post).apply(rho)
                              - rho_prime).tolist() for channel in channels.values()]
@@ -324,17 +324,19 @@ def cmd_recur(args, tol: Tolerances) -> None:
 
 def cmd_fig3(args, tol: Tolerances) -> None:
     require_dim(max(args.m) ** 2, tol)
-    sweeps = recurrence.fig3_sweep(args.m, args.samples)
+    periods = [recurrence.Fig3Period(m, args.samples) for m in args.m]
     prefix = args.out if args.out else "fig3"
     meta_base = reporting.metadata("fig3", args.seed, tol, args.deterministic)
-    for m, sweep in sweeps.items():
+    for period in periods:
+        m = period.m
+        # the integer times first, so a failing check costs only those points
         for k in range(1, m):
-            if sweep.distance_at(float(k)) > tol.integer_time_residual:
+            if period.distance_at(float(k)) > tol.integer_time_residual:
                 raise CheckFailure(f"integer-time distance too large at m={m}, t={k}")
         meta = dict(meta_base)
         meta["m"], meta["samples"] = m, args.samples
         reporting.write_csv(Path(f"{prefix}_m{m}.csv"), meta,
-                            recurrence.TimeSweep.CSV_HEADER, sweep.csv_rows())
+                            recurrence.TimeSweep.CSV_HEADER, period.sweep().csv_rows())
 
 
 def cmd_pqc(args, tol: Tolerances) -> None:

@@ -327,8 +327,7 @@ def transition_rotations(rho: np.ndarray, rho_prime: np.ndarray,
     Requires the spectrum of rho to majorize that of rho'.  ``pre`` rotates
     rho to its eigenbasis and spreads the target spectrum onto the diagonal
     (Schur-Horn); ``post`` maps the diagonal onto the eigenbasis of rho'.
-    Neither depends on how the pinch is implemented.  For stacks, only the
-    Schur-Horn step runs per member.
+    Neither depends on how the pinch is implemented.
     """
     rho, rho_prime = as_operator(rho, stack=True), as_operator(rho_prime, stack=True)
     lam, w = _eigh_descending(rho)
@@ -339,9 +338,7 @@ def transition_rotations(rho: np.ndarray, rho_prime: np.ndarray,
         raise DimensionError("states must share one dimension")
     if not np.all(majorizes_spectra(lam, mu, tol)):
         raise PreconditionError("transition requires the source to majorize the target")
-    v = np.array([schur_horn_unitary(lam_t, mu_t, tol) for lam_t, mu_t
-                  in zip(lam.reshape(-1, lam.shape[-1]), mu.reshape(-1, mu.shape[-1]))])
-    return v.reshape(rho.shape) @ w.conj().swapaxes(-1, -2), w_prime
+    return schur_horn_unitary(lam, mu, tol) @ w.conj().swapaxes(-1, -2), w_prime
 
 
 def transition_channel(rho: np.ndarray, rho_prime: np.ndarray,

@@ -273,59 +273,63 @@ def majorizes_spectra(lam: np.ndarray, mu: np.ndarray, tol: Tolerances = TOL) ->
 
 def schur_horn_unitary(spectrum: Sequence[float], target_diagonal: Sequence[float],
                        tol: Tolerances = TOL) -> np.ndarray:
-    """Unitary V with diag(V diag(spectrum) V†) = target_diagonal.
+    """Unitary V with diag(V diag(spectrum) V†) = target_diagonal; for (T, n)
+    stacks of both, the (T, n, n) stack of them.
 
     ``spectrum`` must be descending and majorize ``target_diagonal`` (any
     order).  V is a product of at most n-1 two-level rotations composed with
     a permutation; each rotation pins one diagonal entry to its target, and
     once pinned an index is never rotated again, so earlier entries survive.
-    A rotation touches only its two rows of V, so the cost is O(n^2).
+    A rotation touches only its two rows of V, so the cost is O(n^2).  Step k
+    pins the k-th largest target of every member at once.
     """
     lam = np.asarray(spectrum, dtype=float)
     tgt = np.asarray(target_diagonal, dtype=float)
-    n = lam.size
-    if tgt.size != n:
+    if tgt.shape != lam.shape:
         raise DimensionError("spectrum and target must have equal length")
-    if np.any(np.diff(lam) > tol.majorization):
+    if np.any(np.diff(lam, axis=-1) > tol.majorization):
         raise PreconditionError("spectrum must be sorted in descending order")
-    if abs(lam.sum() - tgt.sum()) > tol.majorization:
+    if np.any(abs(lam.sum(axis=-1) - tgt.sum(axis=-1)) > tol.majorization):
         raise PreconditionError("spectrum and target must have equal sums")
-    if not majorizes_spectra(lam, tgt, tol):
+    if not np.all(majorizes_spectra(lam, tgt, tol)):
         raise PreconditionError("target diagonal is not majorized by the spectrum")
 
-    order = np.argsort(tgt)[::-1]           # process largest target first
-    # Active values in descending order; each entry remembers which original
-    # position of the spectrum currently holds it.
-    values = list(lam)
-    positions = list(range(n))
-    v = np.eye(n, dtype=complex)
-    placed = np.empty(n, dtype=int)
+    n = lam.shape[-1]
+    members = np.arange(math.prod(lam.shape[:-1]))
+    tgt = tgt.reshape(members.size, n)
+    order = np.argsort(tgt, axis=-1)[:, ::-1]     # process largest target first
+    # Active values of each member in descending order; each entry remembers
+    # which original position of the spectrum currently holds it.
+    values = lam.reshape(members.size, n).copy()
+    positions = np.tile(np.arange(n), (members.size, 1))
+    v = np.tile(np.eye(n, dtype=complex), (members.size, 1, 1))
+    placed = np.empty((members.size, n), dtype=int)
 
-    for step, tgt_idx in enumerate(order):
-        t = tgt[tgt_idx]
-        # Largest j with values[j] >= t; tolerate round-off at the boundary.
-        j = max((i for i, x in enumerate(values) if x >= t - 1e-12), default=0)
-        if j == len(values) - 1:
-            # t matches the last remaining value (up to round-off): no rotation.
-            placed[tgt_idx] = positions[j]
-            values.pop(j)
-            positions.pop(j)
-            continue
-        a, b = values[j], values[j + 1]
-        p, q = positions[j], positions[j + 1]
-        if a - b > 1e-15:
-            c2 = min(max((t - b) / (a - b), 0.0), 1.0)
-        else:
-            c2 = 1.0
-        c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
-        v[[p, q]] = np.array([[c, -s], [s, c]]) @ v[[p, q]]   # rotates rows p, q only
-        placed[tgt_idx] = p
-        values[j + 1] = a + b - t           # merged value stays sorted at slot j+1
-        values.pop(j)
-        positions.pop(j)
+    for step in range(n):
+        live = n - step
+        t = tgt[members, order[:, step]]
+        # Largest j with values[j] >= t (else 0); tolerate round-off at the boundary.
+        reach = values >= (t - 1e-12)[:, None]
+        j = np.where(reach.any(axis=1), live - 1 - np.argmax(reach[:, ::-1], axis=1), 0)
+        placed[members, order[:, step]] = positions[members, j]
+        # A member whose t matches its last remaining value needs no rotation.
+        r = np.flatnonzero(j < live - 1)
+        jr, tr = j[r], t[r]
+        a, b = values[r, jr], values[r, jr + 1]
+        c2 = np.ones_like(a)
+        np.divide(tr - b, a - b, out=c2, where=a - b > 1e-15)
+        c2 = np.minimum(np.maximum(c2, 0.0), 1.0)
+        c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
+        rotation = np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2)
+        rows = r[:, None], positions[r[:, None], jr[:, None] + [0, 1]]
+        v[rows] = rotation @ v[rows]        # rotates rows p, q of each member only
+        values[r, jr + 1] = a + b - tr      # merged value stays sorted at slot j+1
+        keep = np.arange(live) != j[:, None]
+        values = values[keep].reshape(members.size, live - 1)
+        positions = positions[keep].reshape(members.size, live - 1)
 
     # Permute so the pinned value for target index i lands at position i.
-    return v[placed]
+    return np.take_along_axis(v, placed[:, :, None], axis=1).reshape(lam.shape + (n,))
 
 
 def embed_operator(u: np.ndarray, layout: Sequence[int],

@@ -29,7 +29,7 @@ This covers the tensor construction, the single-ring Z_m x Z_m Weyl family
 and Galois-field families.  The same argument makes recurrence at k = m
 need g^m = e for every g: a cyclic Z_{m^2} index fails there.
 
-A residual that is known is not recomputed: ``fig3_sweep`` copies t > m/2
+A residual that is known is not recomputed: ``Fig3Period`` copies t > m/2
 from its mirror m - t (C_(m-t) = conj(C_t)), and ``recur`` evaluates one
 residual where the two predictions are the same array (gcd(k, m) is 1 or m).
 Each residual is block diagonal on ``label_groups``, so ``recur`` sums its
@@ -316,11 +316,11 @@ def _dense_fig3_distances(spec: RecurrenceSpec):
     return at
 
 
-def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, TimeSweep]:
-    """Continuous-time robustness sweep for the maximally coherent input.
+class Fig3Period:
+    """One period t in [0, m] of the continuous-time robustness sweep for the
+    maximally coherent input, evaluated point by point, each point once.
 
-    For each odd m the coupling is evolved over one period t in [0, m]; the
-    sample grid always contains the integer times and the half-period
+    The sample grid always contains the integer times and the half-period
     midpoint in addition to the uniform grid.  Prime m reads both distances
     from ``closed_fig3_distances``; composite m takes the norms of the
     residual under ``continuous_coefficients``.  The joint dimension m^3 is
@@ -328,22 +328,39 @@ def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, T
 
     U_a has order m and principal-branch phases, so U_a^(m-t) = (U_a^t)^dagger
     and C_(m-t) = conj(C_t); for the real input Delta_(m-t) = conj(Delta_t), so
-    t > m/2 copies both norms from the grid point within 1e-12 of m - t, if any.
+    t > m/2 copies both norms from the first grid point within 1e-12 of m - t,
+    if any.
     """
-    out = {}
-    for m in m_values:
+
+    def __init__(self, m: int, samples_per_period: int = 64):
         spec = RecurrenceSpec.for_ancilla(m)
-        evaluate = (closed_fig3_distances(m) if len(spec.factors) == 1
-                    else _dense_fig3_distances(spec))
+        self.m = m
+        self._evaluate = (closed_fig3_distances(m) if len(spec.factors) == 1
+                          else _dense_fig3_distances(spec))
         grid = set(np.linspace(0.0, m, samples_per_period).tolist())
         grid.update(float(k) for k in range(m + 1))
         grid.add(m / 2.0)
-        distances = {}
-        for t in sorted(grid):
-            twin = next((u for u in distances if abs(u + t - m) < 1e-12), None)
-            if t > m / 2 and twin is not None:
-                distances[t] = distances[twin]
-            else:
-                distances[t] = evaluate(t)
-        out[m] = TimeSweep(m=m, points=tuple((t, *d) for t, d in distances.items()))
-    return out
+        self.grid = sorted(grid)
+        self._known: dict[float, tuple[float, float]] = {}
+
+    def distances(self, t: float) -> tuple[float, float]:
+        """(trace, 2-norm) distance at the grid point t."""
+        if t not in self._known:
+            earlier = self.grid[:self.grid.index(t)]
+            twin = next((u for u in earlier if abs(u + t - self.m) < 1e-12), None)
+            self._known[t] = (self.distances(twin) if t > self.m / 2 and twin is not None
+                              else self._evaluate(t))
+        return self._known[t]
+
+    def distance_at(self, t: float) -> float:
+        """Trace distance at the first grid point within 1e-12 of t, as
+        ``TimeSweep.distance_at`` reads it, evaluating only that point."""
+        return self.distances(next(u for u in self.grid if abs(u - t) < 1e-12))[0]
+
+    def sweep(self) -> TimeSweep:
+        return TimeSweep(m=self.m, points=tuple((t, *self.distances(t)) for t in self.grid))
+
+
+def fig3_sweep(m_values: list[int], samples_per_period: int = 64) -> dict[int, TimeSweep]:
+    """The full ``Fig3Period`` sweep of each odd m."""
+    return {m: Fig3Period(m, samples_per_period).sweep() for m in m_values}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dephaselab
-from dephaselab import cli
+from dephaselab import cli, recurrence
 from dephaselab.cli import main
 
 
@@ -155,6 +155,25 @@ class TestSizes:
         assert capsys.readouterr().err == (
             "check failed: integer-time distance too large at m=9, t=3\n")
         assert not Path(f"{prefix}_m9.csv").exists()
+
+    def test_fig3_stops_at_the_first_failing_integer_time(self, tmp_path, capsys, monkeypatch):
+        # composite m takes one trace norm per time point; prime m takes none
+        norms = []
+        trace_norm = recurrence.trace_norm
+        monkeypatch.setattr(recurrence, "trace_norm", lambda a: norms.append(1) or trace_norm(a))
+        prefix = tmp_path / "f"
+        assert main(["fig3", "--m", "7,21", "--out", str(prefix), "--deterministic"]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: integer-time distance too large at m=21, t=3\n")
+        assert Path(f"{prefix}_m7.csv").exists()
+        assert not Path(f"{prefix}_m21.csv").exists()
+        assert len(norms) == 3      # t = 1, 2, 3 of m = 21, none of its other 62 points
+
+    def test_fig3_refuses_a_bad_m_before_writing_any_file(self, tmp_path, capsys):
+        prefix = tmp_path / "f"
+        assert main(["fig3", "--m", "3,4", "--out", str(prefix), "--deterministic"]) == 2
+        assert capsys.readouterr().err == "error: recurrence construction requires odd m >= 3\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 STACKED = [["dephase", "--d", "5", "--trials", "7"],

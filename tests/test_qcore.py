@@ -30,10 +30,10 @@ from dephaselab.qcore import (
 from dephaselab.sampling import (
     haar_unitary,
     random_density_matrix,
-    random_majorized_spectrum,
     random_pure_state,
 )
 from dephaselab.tolerances import TOL, Tolerances
+from oracles import random_majorized_spectrum
 
 
 class TestTensor:
